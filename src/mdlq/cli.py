@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .codec import ScaledDesign, SourceSpec, rate_targeted_beta, simulate, source_entropy_bits
-from .errors import MdlqError
+from .codec import ScaledDesign, SourceSpec, simulate
+from .errors import InvalidInput, MdlqError
 from .evaluation import (
     admissible_asymptotic_indices,
     asymptotic_limit_check,
@@ -21,6 +20,7 @@ from .evaluation import (
     design_report,
     edge_histogram,
     figure_data,
+    rate_targeted_beta,
 )
 from .labeling import build_labeling, labeling_from_dict
 from .lattices import get_lattice
@@ -51,20 +51,35 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are named package errors."""
+
+    def error(self, message):
+        raise InvalidInput(message)
 
 
-def _merge(args: argparse.Namespace, config: dict) -> argparse.Namespace:
-    # Flags override the config file; config fills unset options.
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse flags; a JSON ``--config`` file supplies further flags.
+
+    Config entries are parsed as flags placed before the command line's own,
+    so they pass the same argparse types and choices, and flags take
+    precedence over them.
+    """
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise InvalidInput(f"config file {args.config} must hold a JSON object")
+    flags = []
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None and hasattr(args, attr):
-            setattr(args, attr, value)
-    return args
+        if value is None:
+            continue
+        if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+            raise InvalidInput(f"config value {key}={value!r} must be a string or a number")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return parser.parse_args([argv[0], *flags, *argv[1:]])
 
 
 def _parse_params(text: str | None):
@@ -83,13 +98,11 @@ def _build_from_args(args):
 
 
 def _resolve_beta(args, labeling) -> float:
-    if getattr(args, "beta", None) is not None and getattr(args, "rate", None) is not None:
+    if args.beta is not None and args.rate is not None:
         raise MdlqError("--beta and --rate are mutually exclusive")
-    if getattr(args, "rate", None) is not None:
-        h = args.entropy if args.entropy is not None else 0.0
-        a = args.a if args.a is not None else 0.5
-        return rate_targeted_beta(labeling.lattice, args.rate, a, h)
-    return args.beta if getattr(args, "beta", None) is not None else 1.0
+    if args.rate is not None:
+        return rate_targeted_beta(labeling.lattice, args.rate, args.a, args.entropy)
+    return args.beta if args.beta is not None else 1.0
 
 
 def cmd_design(args) -> int:
@@ -97,23 +110,21 @@ def cmd_design(args) -> int:
     lab.verify_properties()
     doc = lab.to_dict()
     hist = edge_histogram(lab)
-    print(f"design {lab.lattice.name} N={lab.index} params={tuple(lab.sub.params)}")
-    print("property-1 reuse        PASS")
-    print("property-2 shift        PASS")
-    print("property-3 midpoint-sum PASS")
-    print(
+    summary = [
+        f"design {lab.lattice.name} N={lab.index} params={tuple(lab.sub.params)}",
+        "property-1 reuse        PASS",
+        "property-2 shift        PASS",
+        "property-3 midpoint-sum PASS",
         "cost: total=%s mean_excess=%s"
-        % (doc["cost_summary"]["total"], doc["cost_summary"]["mean_excess"])
-    )
-    print(
+        % (doc["cost_summary"]["total"], doc["cost_summary"]["mean_excess"]),
         "edge shells: B=A below K: %s, B<=A at K: %s"
-        % (hist["B_eq_A_below_K"], hist["B_le_A_at_K"])
-    )
+        % (hist["B_eq_A_below_K"], hist["B_le_A_at_K"]),
+    ]
+    # Without --out the design file itself goes to stdout, which must stay JSON.
+    print("\n".join(summary), file=sys.stdout if args.out else sys.stderr)
+    _write(_json_text(doc), args.out)
     if args.out:
-        _write(_json_text(doc), args.out)
         print(f"wrote {args.out}")
-    else:
-        _write(_json_text(doc), None)
     return 0
 
 
@@ -122,8 +133,7 @@ def cmd_simulate(args) -> int:
     beta = _resolve_beta(args, lab)
     design = ScaledDesign(lab, beta)
     source = SourceSpec.parse(args.source)
-    threads = args.threads or int(os.environ.get("MDLQ_THREADS", "1"))
-    report = simulate(design, source, args.samples, args.seed, threads=threads)
+    report = simulate(design, source, args.samples, args.seed)
     doc = report.to_dict()
     if args.format == "csv":
         keys = sorted(doc)
@@ -149,24 +159,19 @@ def cmd_eval(args) -> int:
     if args.asymptotic:
         lat = get_lattice(args.asymptotic)
         n_max = args.n_max if args.n_max is not None else 1000
-        a = args.a if args.a is not None else 0.5
-        h = args.entropy if args.entropy is not None else 0.0
         ns = admissible_asymptotic_indices(lat, n_max)
-        ns = [n for n in ns if 2.0 ** lat.dim < n]
-        rows = asymptotic_limit_check(lat, ns, a, h)
+        rows = asymptotic_limit_check(lat, ns, args.a, args.entropy)
         header = ["N", "K", "R", "beta", "d_tilde", "ratio", "sphere_G", "d0_normalized"]
         table = [[r[k] for k in header] for r in rows]
         if args.format == "json":
-            text = _json_text({"lattice": lat.name, "a": a, "rows": rows})
+            text = _json_text({"lattice": lat.name, "a": args.a, "rows": rows})
         else:
             text = _csv_text(header, table)
         _write(text, args.out)
         return 0
     # Single-design analytic report.
     lab = _build_from_args(args)
-    beta = _resolve_beta(args, lab)
-    h = args.entropy if args.entropy is not None else 0.0
-    rep = design_report(lab, beta, h)
+    rep = design_report(lab, _resolve_beta(args, lab), args.entropy)
     _write(_json_text(rep.to_dict()), args.out)
     return 0
 
@@ -201,7 +206,7 @@ def cmd_verify(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mdlq",
         description="Design and evaluate two-channel multiple-description lattice quantizers.",
     )
@@ -214,19 +219,21 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config; flags take precedence")
         p.add_argument("--out", default=None)
 
+    def add_scale_args(p):
+        p.add_argument("--beta", type=float, default=None)
+        p.add_argument("--rate", type=float, default=None, help="target per-channel rate (bits)")
+        p.add_argument("--a", type=float, default=0.5, help="rate-split exponent in (0,1)")
+        p.add_argument("--entropy", type=float, default=0.0, help="source entropy h(p), bits")
+
     p = sub.add_parser("design", help="build a labeling design and write the design file")
     add_design_args(p)
 
     p = sub.add_parser("simulate", help="Monte-Carlo rate/distortion simulation")
     add_design_args(p)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--rate", type=float, default=None, help="target per-channel rate (bits)")
-    p.add_argument("--a", type=float, default=None, help="rate-split exponent in (0,1)")
-    p.add_argument("--entropy", type=float, default=None, help="source differential entropy h(p)")
+    add_scale_args(p)
     p.add_argument("--source", default="uniform:10", help="uniform:W | gauss:S | periods:M")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("eval", help="analytic tables: figures, asymptotics, design reports")
@@ -234,10 +241,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", choices=["fig1", "fig9", "fig10"], default=None)
     p.add_argument("--asymptotic", choices=["Z1", "Z2", "A2"], default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--entropy", type=float, default=None)
+    add_scale_args(p)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
 
     p = sub.add_parser("verify", help="replay all checks on a design file")
@@ -246,27 +250,22 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        _merge(args, _load_config(args.config))
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = _parse_args(make_parser(), argv)
         if args.command == "design":
             return cmd_design(args)
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "eval":
             return cmd_eval(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        return cmd_verify(args)
     except MdlqError as err:
         print(f"{err.name}: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    parser.error("unknown command")
-    return 2
 
 
 if __name__ == "__main__":

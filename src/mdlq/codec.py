@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from .errors import InvalidInput, ResourceLimit
+from .evaluation import analytic_d0, analytic_excess, analytic_rates, cell_volume
 from .labeling import DirectedEdge, Labeling
 from .lattices import Lattice
 
@@ -77,29 +78,14 @@ class ScaledDesign:
     def index(self) -> int:
         return self.labeling.index
 
-    def cell_volume(self) -> float:
-        """Volume of a Voronoi cell of the scaled lattice."""
-        return self.beta**self.dim * self.lattice.fundamental_volume
-
     def d0_analytic(self) -> float:
-        return self.lattice.second_moment() * self.cell_volume() ** (2.0 / self.dim)
-
-    def excess_analytic(self) -> float:
-        """Mean labeling excess (1/N) sum d_s(e), scaled by beta^2."""
-        return self.beta**2 * float(self.labeling.excess_sum()) / self.index
+        return analytic_d0(self.lattice, self.beta)
 
     def ds_analytic(self) -> float:
-        return self.d0_analytic() + self.excess_analytic()
+        return self.d0_analytic() + analytic_excess(self.labeling, self.beta)
 
     def rates_analytic(self, h_bits: float):
-        l = self.dim
-        r0 = h_bits - math.log2(self.cell_volume()) / l
-        return r0, r0 - math.log2(self.index) / l
-
-
-def rate_targeted_beta(lat: Lattice, rate: float, a: float, h_bits: float) -> float:
-    """Scale factor for a target per-channel rate: beta^L = 2^(L h) 2^(-L R(1+a)) / (2^L nu)."""
-    return 2.0 ** (h_bits - rate * (1.0 + a) - 1.0) / lat.fundamental_volume ** (1.0 / lat.dim)
+        return analytic_rates(self.lattice, self.index, self.beta, h_bits)
 
 
 def source_entropy_bits(source: SourceSpec, design: ScaledDesign) -> float:
@@ -109,7 +95,7 @@ def source_entropy_bits(source: SourceSpec, design: ScaledDesign) -> float:
     if source.kind == "gauss":
         return 0.5 * math.log2(2.0 * math.pi * math.e * source.param**2)
     m = int(source.param)
-    vol = m**design.dim * design.index * design.cell_volume()
+    vol = m**design.dim * design.index * cell_volume(design.lattice, design.beta)
     return math.log2(vol) / design.dim
 
 
@@ -132,7 +118,7 @@ def reconstruct(design: ScaledDesign, received: str, payload):
     if received == "both":
         lam = design.labeling.decode_both(payload)
     elif received in ("ch1", "ch2"):
-        lam = design.labeling.decode_side(tuple(payload), 1 if received == "ch1" else 2)
+        lam = payload  # a single description is the sublattice point itself
     else:
         raise ValueError("received must be 'both', 'ch1' or 'ch2'")
     return design.beta * design.lattice.embed(lam)
@@ -213,45 +199,50 @@ class BulkEncoder:
     """Vectorized encode for a labeling (any dimension; int64 ranges)."""
 
     def __init__(self, labeling: Labeling):
-        self.lab = labeling
         sub = labeling.sub
         self.sub = sub
         self.dim = sub.dim
         self.gram2 = sub.lattice.gram2.astype(np.int64)
-        self.adj = np.array(sub.adjugate, dtype=np.int64)
+        adj = np.array(sub.adjugate, dtype=np.int64)
+        # Largest |coordinate| whose coset reduction and label keys stay far
+        # from int64 overflow (every intermediate is at most ~2^61).
+        self.coord_bound = 2**61 // int(np.abs(adj).sum(axis=1).max())
+        # Rows are looked up by packing each V0(0) representative in mixed
+        # radix: digits c + m in base 2m + 1 keep lexicographic order, so the
+        # packed keys of the sorted representatives are sorted as well.
         reps = sorted(labeling.table)
-        self.rows = {tuple(int(c) % sub.index for c in self.adj @ np.array(r)): i for i, r in enumerate(reps)}
+        self.reps = np.array(reps, dtype=np.int64)
+        m = int(np.abs(self.reps).max())
+        self.radix = 2 * m + 1
+        if self.radix**self.dim >= 2**63:
+            raise ResourceLimit(f"row keys in base {self.radix}^{self.dim} overflow int64")
+        self.offset = m
+        self.keys = self._pack(self.reps)
         self.edge_a = np.array([labeling.table[r][0] for r in reps], dtype=np.int64)
         self.edge_b = np.array([labeling.table[r][1] for r in reps], dtype=np.int64)
-        self._lut = None
-        if self.dim <= 2:
-            size = sub.index ** self.dim
-            lut = np.full(size, -1, dtype=np.int64)
-            for key, i in self.rows.items():
-                idx = 0
-                for c in key:
-                    idx = idx * sub.index + c
-                lut[idx] = i
-            self._lut = lut
 
-    def _row_indices(self, rep_keys: np.ndarray) -> np.ndarray:
-        if self._lut is not None:
-            idx = rep_keys[:, 0].copy()
-            for j in range(1, self.dim):
-                idx = idx * self.sub.index + rep_keys[:, j]
-            rows = self._lut[idx]
-            assert (rows >= 0).all()
-            return rows
-        return np.fromiter(
-            (self.rows[tuple(k)] for k in rep_keys.tolist()), dtype=np.int64, count=len(rep_keys)
-        )
+    def _pack(self, rep: np.ndarray) -> np.ndarray:
+        key = rep[:, 0] + self.offset
+        for j in range(1, self.dim):
+            key = key * self.radix + (rep[:, j] + self.offset)
+        return key
+
+    def _row_indices(self, rep: np.ndarray) -> np.ndarray:
+        rows = np.searchsorted(self.keys, self._pack(rep))
+        np.minimum(rows, len(self.keys) - 1, out=rows)
+        # Out-of-range digits can alias another key, so compare the
+        # representatives themselves.
+        if not (self.reps[rows] == rep).all():
+            raise InvalidInput(
+                "coset representative outside the design's table "
+                "(lattice point beyond the int64 domain of the bulk encoder)"
+            )
+        return rows
 
     def encode(self, lam: np.ndarray):
         """Directed labels for an (n, L) int64 array; returns (E1, E2)."""
-        sub = self.sub
-        vp, rep = bulk_coset_reduce(sub, lam)
-        keys = np.remainder(rep @ self.adj.T, sub.index)
-        rows = self._row_indices(keys)
+        vp, rep = bulk_coset_reduce(self.sub, lam)
+        rows = self._row_indices(rep)
         ea = self.edge_a[rows] + vp
         eb = self.edge_b[rows] + vp
         # Canonical endpoint order (lexicographic per row).
@@ -361,20 +352,20 @@ def _entropy_bits(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def simulate(
-    design: ScaledDesign,
-    source: SourceSpec,
-    n_samples: int,
-    seed: int,
-    threads: int = 1,
-    chunk: int = 1 << 17,
-) -> SimReport:
+# Samples per chunk; part of the seeded output (each chunk draws from its own
+# substream), so changing it changes every report.
+CHUNK = 1 << 17
+
+
+def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int) -> SimReport:
     """Monte-Carlo estimate of the three distortions and channel entropies.
 
-    Deterministic for a fixed (seed, chunk): each chunk draws from its own
-    substream ``default_rng([seed, chunk_index])`` and results are combined
-    in chunk order, so the thread count does not change the output.
+    Deterministic for a fixed seed: chunk ``ci`` of ``CHUNK`` samples draws
+    from its own substream ``default_rng([seed, ci])`` and results are
+    combined in chunk order.
     """
+    if n_samples < 1:
+        raise InvalidInput(f"sample count must be at least 1, got {n_samples}")
     lab = design.labeling
     lat = design.lattice
     sub = lab.sub
@@ -387,10 +378,14 @@ def simulate(
     reps = np.array(sorted(sub.voronoi_reps), dtype=np.int64)
     gt = sub.gtilde.astype(np.int64)
 
-    n_chunks = (n_samples + chunk - 1) // chunk
+    def label_keys(e):
+        u = (e @ adj.T) // sub.index  # exact sublattice coordinates
+        if source.kind == "periods":
+            u = np.remainder(u, period)
+        return u
 
     def run_chunk(ci: int):
-        m = min(chunk, n_samples - ci * chunk)
+        m = min(CHUNK, n_samples - ci * CHUNK)
         rng = np.random.default_rng([seed, ci])
         if source.kind == "uniform":
             x = rng.uniform(-source.param, source.param, (m, dim))
@@ -405,45 +400,27 @@ def simulate(
             else:
                 off = rng.uniform(-0.5, 0.5, (m, dim))
             x = beta * ((lam0 @ basis.T) + off)
+        # Lattice-frame coordinates are at most twice the embedded ones.
+        reach = np.abs(x).max() / abs(beta)
+        if not reach <= enc.coord_bound / 2:
+            raise InvalidInput(
+                f"|x/beta| reaches {reach:.3g}, beyond the int64-safe "
+                f"bound {enc.coord_bound / 2:.3g} of this design"
+            )
         lam = bulk_nearest(lat, x / beta)
         e1, e2 = enc.encode(lam)
-        y0 = beta * (lam @ basis.T)
-        y1 = beta * (e1 @ basis.T)
-        y2 = beta * (e2 @ basis.T)
-        s0 = float(((x - y0) ** 2).sum()) / dim
-        s1 = float(((x - y1) ** 2).sum()) / dim
-        s2 = float(((x - y2) ** 2).sum()) / dim
+        sq = [float(((x - beta * (y @ basis.T)) ** 2).sum()) / dim for y in (lam, e1, e2)]
+        return sq, label_keys(e1), label_keys(e2)
 
-        def label_keys(e):
-            u = (e @ adj.T) // sub.index  # exact sublattice coordinates
-            if source.kind == "periods":
-                u = np.remainder(u, period)
-            return u
+    results = [run_chunk(ci) for ci in range((n_samples + CHUNK - 1) // CHUNK)]
+    d0, d1, d2 = (sum(r[0][i] for r in results) / n_samples for i in range(3))
 
-        return m, s0, s1, s2, label_keys(e1), label_keys(e2)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        results = [run_chunk(ci) for ci in range(n_chunks)]
-
-    total = sum(r[0] for r in results)
-    assert total == n_samples
-    d0 = sum(r[1] for r in results) / n_samples
-    d1 = sum(r[2] for r in results) / n_samples
-    d2 = sum(r[3] for r in results) / n_samples
-    u1 = np.concatenate([r[4] for r in results])
-    u2 = np.concatenate([r[5] for r in results])
-
-    def entropy(u):
-        _, counts = np.unique(u, axis=0, return_counts=True)
+    def entropy(j):
+        keys = np.concatenate([r[j] for r in results])
+        _, counts = np.unique(keys, axis=0, return_counts=True)
         return _entropy_bits(counts, n_samples)
 
-    h_p = source_entropy_bits(source, design)
-    r0, r = design.rates_analytic(h_p)
+    r0, r = design.rates_analytic(source_entropy_bits(source, design))
     return SimReport(
         lattice=lat.name,
         params=tuple(sub.params),
@@ -456,8 +433,8 @@ def simulate(
         d1=d1,
         d2=d2,
         ds=0.5 * (d1 + d2),
-        h1=entropy(u1) / dim,
-        h2=entropy(u2) / dim,
+        h1=entropy(1) / dim,
+        h2=entropy(2) / dim,
         r0_analytic=r0,
         r_analytic=r,
         d0_analytic=design.d0_analytic(),

@@ -58,4 +58,9 @@ class ZeroEdge(MdlqError):
 
 
 class ResourceLimit(MdlqError):
-    """An enumeration would exceed the configured size cap."""
+    """An enumeration would exceed its fixed size cap."""
+
+
+class InvalidInput(MdlqError):
+    """Malformed or out-of-range input from outside the program: a CLI or
+    config value, a design file, or samples beyond the int64 domain."""

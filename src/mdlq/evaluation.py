@@ -18,11 +18,36 @@ from .lattices import Lattice, fills_shells, get_lattice, sphere_second_moment
 from .sublattices import design_sublattice, find_params
 
 
+# ---------------------------------------------------------------------------
+# closed-form rates and distortions (codec and cli call these too)
+# ---------------------------------------------------------------------------
+
+
+def cell_volume(lat: Lattice, beta: float) -> float:
+    """Volume nu(beta Lambda) of a Voronoi cell of the scaled lattice."""
+    return beta**lat.dim * lat.fundamental_volume
+
+
+def analytic_d0(lat: Lattice, beta: float) -> float:
+    """Central distortion d0 = G(Lambda) nu(beta Lambda)^(2/L)."""
+    return lat.second_moment() * cell_volume(lat, beta) ** (2.0 / lat.dim)
+
+
 def analytic_rates(lat: Lattice, n: int, beta: float, h_bits: float):
     """(R0, R): the single-channel rate and the per-channel rate."""
     l = lat.dim
-    r0 = h_bits - math.log2(beta**l * lat.fundamental_volume) / l
+    r0 = h_bits - math.log2(cell_volume(lat, beta)) / l
     return r0, r0 - math.log2(n) / l
+
+
+def rate_targeted_beta(lat: Lattice, rate: float, a: float, h_bits: float) -> float:
+    """Scale factor for a target per-channel rate: beta^L = 2^(L h) 2^(-L R(1+a)) / (2^L nu)."""
+    return 2.0 ** (h_bits - rate * (1.0 + a) - 1.0) / lat.fundamental_volume ** (1.0 / lat.dim)
+
+
+def analytic_excess(labeling: Labeling, beta: float) -> float:
+    """Mean labeling excess (1/N) sum d_s(e), scaled by beta^2."""
+    return beta * beta * float(labeling.excess_sum()) / labeling.index
 
 
 @dataclass
@@ -54,8 +79,7 @@ def bound_sandwich(labeling: Labeling, beta: float = 1.0) -> BoundSandwich:
     # the N=1 design (zero edge only) has no side penalty at all.
     rstar_sq = 4 * labeling.sub.covering_radius_sq() if any(lengths) else Fraction(0)
     upper_term = lower_term + rstar_sq
-    lat = labeling.lattice
-    d0 = lat.second_moment() * (beta**lat.dim * lat.fundamental_volume) ** (2.0 / lat.dim)
+    d0 = analytic_d0(labeling.lattice, beta)
     b2 = beta * beta
     return BoundSandwich(
         d0 + b2 * float(lower_term),
@@ -133,23 +157,19 @@ def _representable_set(lat: Lattice, n_max: int):
 
 
 def admissible_asymptotic_indices(lat: Lattice, n_max: int):
-    """Indices N <= n_max that are representable and fill shells exactly."""
+    """Indices 2^L < N <= n_max that are representable and fill shells
+    exactly; 2^L < N keeps the rate of the map N = 2^(L(aR+1)) positive."""
     if lat.dim == 1:
         return list(range(3, n_max + 1, 2))
-    max_norm = 64
-    shells = lat.shells(max_norm)
-    while shells.S(len(shells.A) - 1) < n_max:
-        max_norm *= 2
-        shells = lat.shells(max_norm)
     s_values = set()
     acc = 0
-    for a in shells.A:
+    for a in lat.shells_covering(n_max).A:
         acc += a
         if acc > n_max:
             break
         s_values.add(acc)
     rep = _representable_set(lat, n_max)
-    return sorted(n for n in s_values & rep if n >= 3)
+    return sorted(n for n in s_values & rep if n > 2**lat.dim)
 
 
 def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0.0):
@@ -173,11 +193,11 @@ def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0
             raise InadmissibleIndex(f"N={n} too small for the rate map N=2^(L(aR+1))")
         sum_i_ai = _shell_weight_sum(lat, k)
         rate = (math.log2(n) / l - 1.0) / a
-        beta = 2.0 ** (h_bits - rate * (1.0 + a) - 1.0) / lat.fundamental_volume ** (1.0 / l)
+        beta = rate_targeted_beta(lat, rate, a, h_bits)
         sum_l2 = sum_i_ai * n ** (2.0 / l) / l
         d_tilde = beta * beta * sum_l2 / (4.0 * n)
         ratio = d_tilde * 2.0 ** (2.0 * rate * (1.0 - a)) / 2.0 ** (2.0 * h_bits)
-        d0 = lat.second_moment() * (beta**l * lat.fundamental_volume) ** (2.0 / l)
+        d0 = analytic_d0(lat, beta)
         d0_norm = d0 * 2.0 ** (2.0 * rate * (1.0 + a)) * 4.0 / 2.0 ** (2.0 * h_bits)
         rows.append(
             {
@@ -220,6 +240,7 @@ _design_cache: dict = {}
 
 
 def build_design(lat_name: str, n: int, params=None) -> Labeling:
+    """Build a design once per process; later calls return the same object."""
     key = (lat_name, n, tuple(params) if params else None)
     if key not in _design_cache:
         sub = design_sublattice(lat_name, index=n, params=params)
@@ -278,7 +299,7 @@ def figure_data(kind: str, **kwargs):
                 if not sand.holds():
                     raise MdlqError(f"bound sandwich violated for {name} N={n}")
                 _, rate = analytic_rates(lat, n, beta, 0.0)
-                excess = beta * beta * float(lab.excess_sum()) / n
+                excess = analytic_excess(lab, beta)
                 d0 = sand.mid - excess
                 rows.append(
                     [name, n * n if name == "Z" else n, n, beta, rate, d0, sand.mid, excess]
@@ -304,7 +325,7 @@ def figure_data(kind: str, **kwargs):
                 sand = bound_sandwich(lab, 1.0)
                 if not sand.holds():
                     raise MdlqError(f"bound sandwich violated for {name} N={n}")
-                excess = float(lab.excess_sum()) / n
+                excess = analytic_excess(lab, 1.0)
                 rows.append(
                     [
                         name,
@@ -366,7 +387,7 @@ def design_report(labeling: Labeling, beta: float = 1.0, h_bits: float = 0.0) ->
         raise MdlqError("bound sandwich violated")
     lat = labeling.lattice
     r0, r = analytic_rates(lat, labeling.index, beta, h_bits)
-    excess = beta * beta * float(labeling.excess_sum()) / labeling.index
+    excess = analytic_excess(labeling, beta)
     return DesignReport(
         lattice=lat.name,
         params=tuple(labeling.sub.params),

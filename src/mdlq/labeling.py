@@ -27,6 +27,7 @@ from .assignment import min_cost_assignment
 from .errors import (
     AsymmetricEdgeSet,
     InadmissibleIndex,
+    InvalidInput,
     MdlqError,
     NotALabel,
     PropertyCheckFailed,
@@ -36,6 +37,10 @@ from .errors import (
 from .lattices import Lattice
 from .sublattices import SimilarSublattice, _imatvec
 from .symmetry import SymmetryGroup, group_for, minus_identity_group
+
+
+# Voronoi representatives on which verify_properties checks shift covariance.
+_SHIFT_SAMPLES = 8
 
 
 class DirectedEdge(NamedTuple):
@@ -174,9 +179,7 @@ def base_edge_set(sub: SimilarSublattice):
     """
     lat = sub.lattice
     n = sub.index
-    shells = lat.shells(8)
-    while shells.S(len(shells.A) - 1) < n:
-        shells = lat.shells(2 * len(shells.A))
+    shells = lat.shells_covering(n)
     acc = 0
     kmax = 0
     for i, a in enumerate(shells.A):
@@ -344,9 +347,6 @@ class Labeling:
     def index(self) -> int:
         return self.sub.index
 
-    def edge_for(self, rep):
-        return self.table[rep]
-
     def edge_lengths_sq(self):
         """Normalized squared lengths l^2(e) over all N table rows, exact."""
         lat = self.lattice
@@ -401,15 +401,9 @@ class Labeling:
         cand = _add(rep, shift)
         return select_point(self.lattice, de, cand)
 
-    def decode_side(self, component, channel: int):
-        """Single-channel reconstruction: the sublattice point itself."""
-        if channel not in (1, 2):
-            raise ValueError("channel must be 1 or 2")
-        return tuple(component)
-
     # -- property verification ----------------------------------------------------
 
-    def verify_properties(self, shift_samples: int = 8) -> None:
+    def verify_properties(self) -> None:
         """Check Properties 1-3 exactly; raise PropertyCheckFailed on violation."""
         lat = self.lattice
         sub = self.sub
@@ -460,7 +454,7 @@ class Labeling:
         # Property 2: shift covariance on a deterministic sample.
         gens = [sub.from_sub_coords(u) for u in _unit_vectors(lat.dim)]
         reps = list(sub.voronoi_reps)
-        for i in range(min(shift_samples, len(reps))):
+        for i in range(min(_SHIFT_SAMPLES, len(reps))):
             lam = reps[(i * 7919) % len(reps)]
             for s in gens:
                 lhs = self.alpha_u(_add(lam, s))
@@ -539,25 +533,14 @@ def build_labeling(
             "put points on coset boundaries and break the pairing structure"
         )
     endpoints, hist, kmax = base_edge_set(sub)
-    lat = sub.lattice
     if sub.index > 1:
         # Negation closure of the edge set (positive-length classes in pairs).
         eps = set(endpoints)
         if any(_neg(p) not in eps for p in endpoints):
             raise AsymmetricEdgeSet("edge set is not negation closed")
 
-    groups_to_try = []
-    if group is not None:
-        groups_to_try.append(group)
-    else:
-        try:
-            groups_to_try.append(group_for(lat, sub))
-        except (MdlqError, ValueError):
-            pass
-        groups_to_try.append(minus_identity_group(lat))
-
     last_err = None
-    for g in groups_to_try:
+    for g in [group] if group is not None else _candidate_groups(sub):
         try:
             if anchors is None:
                 found, _ = optimal_class_matching(sub, endpoints, g)
@@ -582,27 +565,35 @@ def labeling_from_dict(data: dict) -> Labeling:
     """Rebuild a labeling from its serialized design file (and re-verify)."""
     from .sublattices import design_sublattice
 
-    if data.get("schema") != 1:
-        raise ValueError(f"unsupported design schema {data.get('schema')!r}")
-    sub = design_sublattice(data["lattice"], index=data["index"], params=tuple(data["params"]))
-    anchors = {tuple(r["point"]): tuple(r["class"]) for r in data["orbit_matching"]}
-    group = None
-    for g in (_try_group(sub), minus_identity_group(sub.lattice)):
-        if g is not None and g.order == data["group_order"]:
-            group = g
-            break
+    if not isinstance(data, dict) or data.get("schema") != 1:
+        schema = data.get("schema") if isinstance(data, dict) else None
+        raise InvalidInput(f"unsupported design schema {schema!r}")
+    try:
+        lat_name, index, params = data["lattice"], data["index"], tuple(data["params"])
+        group_order = data["group_order"]
+        anchors = {tuple(r["point"]): tuple(r["class"]) for r in data["orbit_matching"]}
+        stored = {tuple(r["rep"]): tuple(tuple(x) for x in r["edge"]) for r in data["table"]}
+    except (KeyError, TypeError) as err:
+        raise InvalidInput(f"malformed design file: {type(err).__name__} {err}") from None
+    if not (isinstance(lat_name, str) and isinstance(index, int) and isinstance(group_order, int)):
+        raise InvalidInput(
+            "malformed design file: lattice must be a name, index and group_order integers"
+        )
+    sub = design_sublattice(lat_name, index=index, params=params)
+    group = next((g for g in _candidate_groups(sub) if g.order == group_order), None)
     lab = build_labeling(sub, group=group, anchors=anchors)
-    stored = {tuple(r["rep"]): tuple(tuple(x) for x in r["edge"]) for r in data["table"]}
     if stored != {k: tuple(v) for k, v in lab.table.items()}:
         raise PropertyCheckFailed("serialization", "stored table does not match rebuild")
     return lab
 
 
-def _try_group(sub):
+def _candidate_groups(sub: SimilarSublattice):
+    """The full symmetry group if it normalizes ``sub``, then always {I, -I}."""
+    fallback = minus_identity_group(sub.lattice)
     try:
-        return group_for(sub.lattice, sub)
+        return [group_for(sub.lattice, sub), fallback]
     except (MdlqError, ValueError):
-        return None
+        return [fallback]
 
 
 def brute_force_min_cost(sub: SimilarSublattice) -> Fraction:

@@ -29,6 +29,9 @@ LATTICE_NAMES = ("Z1", "Z2", "Z4", "Z8", "A2")
 
 _SQRT3 = math.sqrt(3.0)
 
+# Largest enumeration (grid points or convolution steps) shells() will run.
+_SHELL_CAP = 20_000_000
+
 
 @dataclass(frozen=True)
 class Lattice:
@@ -63,10 +66,6 @@ class Lattice:
         """2x the unnormalized inner product of coordinate vectors (integer)."""
         g = self.gram2
         return sum(int(g[i][j]) * u[i] * v[j] for i in range(self.dim) for j in range(self.dim))
-
-    def norm_sq(self, u) -> Fraction:
-        """Normalized squared length ||u||^2 as an exact rational."""
-        return Fraction(self.qshell(u), self.dim)
 
     def embed(self, u) -> np.ndarray:
         """Map lattice coordinates to a point of R^L."""
@@ -118,14 +117,14 @@ class Lattice:
 
     # -- theta shells ---------------------------------------------------------
 
-    def shells(self, max_norm: int, cap: int = 20_000_000) -> "ThetaShells":
+    def shells(self, max_norm: int) -> "ThetaShells":
         """Exact shell counts A[i] = #{u : L*||u||^2 = i} for i <= max_norm."""
         if max_norm < 0:
             raise ValueError("max_norm must be >= 0")
         if self.name == "A2":
             # x^2 + y^2 - x*y >= (x^2 + y^2)/2, so |x|,|y| <= sqrt(2*max_norm)
             b = math.isqrt(2 * max_norm) + 1
-            if (2 * b + 1) ** 2 > cap:
+            if (2 * b + 1) ** 2 > _SHELL_CAP:
                 raise ResourceLimit(f"shell enumeration over {(2*b+1)**2} points exceeds cap")
             counts = np.zeros(max_norm + 1, dtype=np.int64)
             xs = np.arange(-b, b + 1)
@@ -137,7 +136,7 @@ class Lattice:
             # Separable exact count: the L-fold coordinate enumeration
             # factorizes into an L-fold convolution of the 1-D counts.
             work = (self.dim - 1) * (max_norm + 1) ** 2 + max_norm + 1
-            if work > cap:
+            if work > _SHELL_CAP:
                 raise ResourceLimit("shell enumeration exceeds cap")
             base = np.zeros(max_norm + 1, dtype=np.int64)
             base[0] = 1
@@ -147,6 +146,15 @@ class Lattice:
             for _ in range(self.dim - 1):
                 counts = np.convolve(counts, base)[: max_norm + 1]
         return ThetaShells(tuple(int(c) for c in counts))
+
+    def shells_covering(self, n: int) -> "ThetaShells":
+        """Shell counts up to the first norm 8 * 2^k whose ball holds >= n points."""
+        max_norm = 8
+        shells = self.shells(max_norm)
+        while shells.S(max_norm) < n:
+            max_norm *= 2
+            shells = self.shells(max_norm)
+        return shells
 
     def points_in_shell_ball(self, max_norm: int):
         """All coordinate vectors with L*||u||^2 <= max_norm, lex sorted."""
@@ -231,15 +239,8 @@ def fills_shells(lat: Lattice, n: int):
         if n % 2 == 0:
             return None
         return ((n - 1) // 2) ** 2
-    # S(m) grows ~ ball volume; scan shells until the cumulative count passes n.
-    max_norm = 8
-    while True:
-        sh = lat.shells(max_norm)
-        total = 0
-        for i, a in enumerate(sh.A):
-            total += a
-            if total == n and (i == len(sh.A) - 1 or True):
-                return i
-            if total > n:
-                return None
-        max_norm *= 2
+    total = 0
+    for i, a in enumerate(lat.shells_covering(n).A):
+        total += a
+        if total >= n:
+            return i if total == n else None

@@ -172,12 +172,6 @@ class SimilarSublattice:
     def from_sub_coords(self, u):
         return _imatvec(self.gtilde.tolist(), u)
 
-    def to_sub_coords(self, v):
-        w = _imatvec(self.adjugate, v)
-        if any(x % self.index for x in w):
-            raise ValueError(f"{v} is not a sublattice point")
-        return tuple(x // self.index for x in w)
-
     def coset_key(self, v):
         """Complete invariant of the coset of v (tuple of residues mod N)."""
         return tuple(x % self.index for x in _imatvec(self.adjugate, v))

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import GroupPropertyViolation
 from .lattices import Lattice
 from .sublattices import SimilarSublattice, _imatmul, _imatvec, z8_gamma_matrices
@@ -48,6 +46,14 @@ def _mat_key(m):
     return tuple(tuple(int(x) for x in row) for row in m)
 
 
+def _identity(dim):
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+
+
+def _negated(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
 @dataclass(frozen=True)
 class SymmetryGroup:
     lattice: Lattice
@@ -56,9 +62,6 @@ class SymmetryGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def apply(self, g, p):
-        return _imatvec(g, p)
 
     def __repr__(self) -> str:
         return f"SymmetryGroup({self.lattice.name}, order={self.order})"
@@ -87,7 +90,7 @@ def _generators(lat: Lattice):
 
 
 def _closure(gens, dim):
-    ident = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+    ident = _identity(dim)
     elems = {ident}
     frontier = [ident]
     while frontier:
@@ -109,9 +112,8 @@ def check_group(group: SymmetryGroup, sub: SimilarSublattice | None = None) -> N
     lat = group.lattice
     dim = lat.dim
     elems = set(group.elements)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-    neg = tuple(tuple(-x for x in row) for row in ident)
-    if neg not in elems:
+    ident = _identity(dim)
+    if _negated(ident) not in elems:
         raise GroupPropertyViolation("contains -I")
     gram = lat.gram2.tolist()
     for g in group.elements:
@@ -161,10 +163,8 @@ def group_for(lat: Lattice, sub: SimilarSublattice | None = None) -> SymmetryGro
 
 def minus_identity_group(lat: Lattice) -> SymmetryGroup:
     """The fallback group {I, -I}, valid for every lattice."""
-    dim = lat.dim
-    ident = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-    neg = tuple(tuple(-x for x in row) for row in ident)
-    return SymmetryGroup(lat, tuple(sorted([ident, neg])))
+    ident = _identity(lat.dim)
+    return SymmetryGroup(lat, tuple(sorted([ident, _negated(ident)])))
 
 
 def orbits(group: SymmetryGroup, items):

@@ -1,19 +1,7 @@
 import pytest
 
-from mdlq.labeling import build_labeling
+from mdlq.evaluation import build_design as design  # the package's design cache
 from mdlq.lattices import get_lattice
-from mdlq.sublattices import design_sublattice
-
-_cache = {}
-
-
-def design(lat_name, n, params=None):
-    """Session-cached labeling designs; building big ones is not free."""
-    key = (lat_name, n, params)
-    if key not in _cache:
-        sub = design_sublattice(lat_name, index=n, params=params)
-        _cache[key] = build_labeling(sub)
-    return _cache[key]
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,18 +89,6 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert doc["schema"] == 1 and doc["n"] == 20000
 
 
-def test_simulate_threads_env(tmp_path, capsys, monkeypatch):
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    argv = [
-        "simulate", "--lattice", "Z1", "--index", "3", "--source", "uniform:4",
-        "--samples", "30000", "--seed", "1",
-    ]
-    run(capsys, *argv, "--out", str(p1))
-    monkeypatch.setenv("MDLQ_THREADS", "3")
-    run(capsys, *argv, "--out", str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_simulate_csv_format(capsys):
     code, out, err = run(
         capsys, "simulate", "--lattice", "Z1", "--index", "3", "--source", "uniform:2",
@@ -168,3 +160,72 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
         capsys, "design", "--config", str(cfg), "--index", "13", "--out", str(path)
     )
     assert code == 0 and json.loads(path.read_text())["index"] == 13
+
+
+def test_design_without_out_prints_json(capsys):
+    code, out, err = run(capsys, "design", "--lattice", "Z2", "--index", "13")
+    assert code == 0
+    assert json.loads(out)["index"] == 13
+    assert "property-1 reuse        PASS" in err
+
+
+@pytest.mark.parametrize(
+    "config,name",
+    [
+        ({"lattice": "A2", "index": "abc"}, "InvalidInput"),
+        ({"lattice": "A2", "index": 31.5}, "InvalidInput"),
+        ({"lattice": "A2", "index": True}, "InvalidInput"),
+        ({"lattice": "A3", "index": 7}, "InvalidInput"),
+        ({"lattice": "A2", "indx": 7}, "InvalidInput"),
+        ([1, 2], "InvalidInput"),
+    ],
+)
+def test_config_values_are_checked(tmp_path, capsys, config, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "design", "--config", str(cfg), "--out", str(tmp_path / "d.json"))
+    assert code == 1
+    assert err.startswith(name + ":")
+
+
+def test_config_string_number_is_coerced(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": "A2", "index": "31"}))
+    path = tmp_path / "d.json"
+    code, _, _ = run(capsys, "design", "--config", str(cfg), "--out", str(path))
+    assert code == 0 and json.loads(path.read_text())["index"] == 31
+
+
+@pytest.mark.parametrize("key", ["orbit_matching", "table", "lattice", "group_order"])
+def test_verify_rejects_design_missing_key(tmp_path, capsys, key):
+    path = tmp_path / "d.json"
+    run(capsys, "design", "--lattice", "Z1", "--index", "5", "--out", str(path))
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--design", str(path))
+    assert code == 1
+    assert err.startswith("InvalidInput:") and key in err
+
+
+def test_simulate_zero_samples(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--lattice", "Z1", "--index", "3", "--samples", "0", "--seed", "0"
+    )
+    assert code == 1
+    assert err.startswith("InvalidInput:")
+
+
+@pytest.mark.parametrize("lattice,index", [("A2", "7"), ("Z4", "9")])
+def test_simulate_beyond_int64_without_asserts(lattice, index):
+    # Run under -O so that no assert can stand in for the check.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    argv = [
+        sys.executable, "-O", "-m", "mdlq.cli", "simulate", "--lattice", lattice, "--index", index,
+        "--source", "gauss:1e17", "--beta", "1e-3", "--samples", "1000",
+    ]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("InvalidInput:")

@@ -10,11 +10,12 @@ from mdlq.codec import (
     bulk_coset_reduce,
     bulk_nearest,
     encode_vector,
-    rate_targeted_beta,
     reconstruct,
     simulate,
     source_entropy_bits,
 )
+from mdlq.errors import InvalidInput
+from mdlq.evaluation import rate_targeted_beta
 from mdlq.labeling import DirectedEdge
 from mdlq.lattices import get_lattice
 
@@ -98,7 +99,7 @@ def test_bulk_coset_reduce_matches_scalar(name, n):
         assert tuple(int(x) for x in rep[i]) == r
 
 
-@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z1", 7), ("Z4", 9)])
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z1", 7), ("Z4", 9), ("Z8", 81)])
 def test_bulk_encoder_matches_scalar(name, n):
     lab = design(name, n, params=(5, -1) if (name, n) == ("A2", 31) else None)
     enc = BulkEncoder(lab)
@@ -111,7 +112,30 @@ def test_bulk_encoder_matches_scalar(name, n):
         assert tuple(int(x) for x in e2[i]) == de.second
 
 
+def test_bulk_encoder_rejects_foreign_representatives(lab31):
+    enc = BulkEncoder(lab31)
+    # Neither point is in V0(0): the first packs to no row key, the second
+    # (a carry between digits) packs to the key of the first table row.
+    alias = enc.reps[0] + np.array([1, -enc.radix])
+    for rep in ([40, 0], alias):
+        with pytest.raises(InvalidInput):
+            enc._row_indices(np.array([rep], dtype=np.int64))
+
+
 # -- simulation -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_simulate_rejects_empty_sample_count(lab31, n):
+    with pytest.raises(InvalidInput):
+        simulate(ScaledDesign(lab31, beta=1.0), SourceSpec.parse("uniform:2"), n, seed=1)
+
+
+@pytest.mark.parametrize("name,n", [("A2", 7), ("Z4", 9)])
+def test_simulate_rejects_samples_beyond_int64(name, n):
+    d = ScaledDesign(design(name, n), beta=1e-3)
+    with pytest.raises(InvalidInput):
+        simulate(d, SourceSpec.parse("gauss:1e17"), 1000, seed=0)
 
 
 def test_simulate_degenerate_index_one():
@@ -122,14 +146,12 @@ def test_simulate_degenerate_index_one():
     assert rep.d2 == pytest.approx(rep.d0, abs=1e-12)
 
 
-def test_simulate_deterministic_and_thread_invariant(lab31):
+def test_simulate_deterministic(lab31):
     d = ScaledDesign(lab31, beta=1.0)
     src = SourceSpec.parse("periods:4")
     r1 = simulate(d, src, 50_000, seed=9)
     r2 = simulate(d, src, 50_000, seed=9)
-    r4 = simulate(d, src, 50_000, seed=9, threads=4)
     assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
-    assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r4.to_dict(), sort_keys=True)
     r3 = simulate(d, src, 50_000, seed=10)
     assert r3.d0 != r1.d0
 

@@ -426,14 +426,6 @@ def test_decode_zero_edge(lab31):
     assert lab31.encode(vp) == DirectedEdge(vp, vp)
 
 
-def test_decode_side_identity(lab31):
-    for p in [(17, 9), (0, 0), (23, 14)]:
-        assert lab31.decode_side(p, 1) == p
-        assert lab31.decode_side(p, 2) == p
-    with pytest.raises(ValueError):
-        lab31.decode_side((0, 0), 3)
-
-
 # -- serialization -------------------------------------------------------------------
 
 

@@ -1,12 +1,21 @@
 """Exact minimum-cost bipartite assignment (Hungarian algorithm).
 
-Runs on exact numeric types (ints or Fractions) so that optimality
-comparisons in the labeling construction are never subject to float noise.
-The O(n^3) potentials formulation is deterministic for a fixed input order;
-orbit matrices here never exceed a few dozen rows.
+Runs on exact integers so that optimality comparisons in the labeling
+construction are never subject to float noise: rational costs are scaled by
+the lcm of their denominators first.  This is the O(n^3) shortest augmenting
+path method with row/column potentials (Jonker & Volgenant, Computing 1987;
+Crouse, IEEE TAES 2016); each row step is a handful of numpy vector ops.
+The orbit matrices of the labeling construction reach 90 rows (Z2 N=181)
+and 150 rows (Z1 N=301).  It is deterministic for a fixed input order:
+ties go to the first minimal column.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
 
 
 def min_cost_assignment(cost):
@@ -21,38 +30,42 @@ def min_cost_assignment(cost):
         return [], 0
     if any(len(row) != n for row in cost):
         raise ValueError("cost matrix must be square")
-    inf = sum(abs(c) for row in cost for c in row) + 1
+    exact = [[Fraction(c) for c in row] for row in cost]
+    scale = math.lcm(*(c.denominator for row in exact for c in row))
+    scaled = [[0] + [c.numerator * (scale // c.denominator) for c in row] for row in exact]
+    inf = sum(abs(c) for row in scaled for c in row) + 1
+    # Free columns keep v = 0, so with M = max|c| < inf the potentials of the
+    # rows and real columns lie in [-3M, 2M] and their reduced costs in
+    # [-3M, 4M]; the dummy column's |v| is a partial optimum, below inf.  Every
+    # value fits int64 while 4 * inf < 2**63; beyond it the same code runs on
+    # Python ints.
+    dtype = np.int64 if 4 * inf < 2**63 else object
+    c = np.array(scaled, dtype=dtype)  # column 0 is the dummy start column
 
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = row matched to column j (1-based, 0 = free)
-    way = [0] * (n + 1)
+    u = np.zeros(n + 1, dtype=dtype)
+    v = np.zeros(n + 1, dtype=dtype)
+    p = np.zeros(n + 1, dtype=np.intp)  # p[j] = row matched to column j (1-based, 0 = free)
+    way = np.zeros(n + 1, dtype=np.intp)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        minv = np.full(n + 1, inf, dtype=dtype)
+        used = np.zeros(n + 1, dtype=bool)
         while True:
             used[j0] = True
+            free = ~used
             i0 = p[j0]
-            delta = inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            cur = c[i0 - 1] - u[i0] - v
+            better = free & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            masked = np.where(free, minv, inf)
+            delta = masked.min()
+            j1 = int(np.flatnonzero(masked == delta)[0])  # first minimal column
+            done = np.flatnonzero(used)
+            u[p[done]] += delta
+            v[done] -= delta
+            minv[free] -= delta
             j0 = j1
             if p[j0] == 0:
                 break

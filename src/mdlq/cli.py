@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .codec import ScaledDesign, SourceSpec, simulate
@@ -80,6 +81,14 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
             raise InvalidInput(f"config value {key}={value!r} must be a string or a number")
         flags.append(f"--{key.replace('_', '-')}={value}")
     return parser.parse_args([argv[0], *flags, *argv[1:]])
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of --beta: a finite number above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
 
 
 def _parse_params(text: str | None):
@@ -220,7 +229,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     def add_scale_args(p):
-        p.add_argument("--beta", type=float, default=None)
+        p.add_argument("--beta", type=_positive_float, default=None)
         p.add_argument("--rate", type=float, default=None, help="target per-channel rate (bits)")
         p.add_argument("--a", type=float, default=0.5, help="rate-split exponent in (0,1)")
         p.add_argument("--entropy", type=float, default=0.0, help="source entropy h(p), bits")

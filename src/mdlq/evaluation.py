@@ -300,7 +300,7 @@ def figure_data(kind: str, **kwargs):
                     raise MdlqError(f"bound sandwich violated for {name} N={n}")
                 _, rate = analytic_rates(lat, n, beta, 0.0)
                 excess = analytic_excess(lab, beta)
-                d0 = sand.mid - excess
+                d0 = analytic_d0(lat, beta)
                 rows.append(
                     [name, n * n if name == "Z" else n, n, beta, rate, d0, sand.mid, excess]
                 )
@@ -393,7 +393,7 @@ def design_report(labeling: Labeling, beta: float = 1.0, h_bits: float = 0.0) ->
         params=tuple(labeling.sub.params),
         index=labeling.index,
         beta=beta,
-        d0_analytic=sand.mid - excess,
+        d0_analytic=analytic_d0(lat, beta),
         excess=excess,
         ds_analytic=sand.mid,
         lower=sand.lower,

@@ -161,10 +161,15 @@ def select_point(lat: Lattice, de: DirectedEdge, candidate, c: int | None = None
 # ---------------------------------------------------------------------------
 
 
+def _ds2(lat: Lattice, lam, edge) -> int:
+    """2L * d_s(lam, edge): the side distortion over the common denominator."""
+    a, b = edge
+    return lat.qshell(_sub(lam, a)) + lat.qshell(_sub(lam, b))
+
+
 def ds_cost(lat: Lattice, lam, edge) -> Fraction:
     """Side distortion d_s(lam, edge) = (||lam-a||^2 + ||lam-b||^2)/2, exact."""
-    a, b = edge
-    return Fraction(lat.qshell(_sub(lam, a)) + lat.qshell(_sub(lam, b)), 2 * lat.dim)
+    return Fraction(_ds2(lat, lam, edge), 2 * lat.dim)
 
 
 def base_edge_set(sub: SimilarSublattice):
@@ -231,43 +236,42 @@ def closest_edge_in_class(sub: SimilarSublattice, lam, delta):
 # ---------------------------------------------------------------------------
 
 
+def _orbit_reps(group: SymmetryGroup, items, act, size: int, what: str):
+    """Lexicographically first element of each orbit of ``items`` under
+    ``act(g, x)``; every orbit must stay inside ``items`` and hold ``size``
+    elements, otherwise SizeMismatch names the condition that failed."""
+    remaining = set(items)
+    reps = []
+    for x in sorted(items):
+        if x not in remaining:
+            continue
+        orb = {act(g, x) for g in group.elements}
+        outside = sorted(orb - remaining)
+        if outside:
+            raise SizeMismatch(
+                f"{what} orbit of {x} leaves the {what} set at {outside[0]}: "
+                f"the set is not closed under the group of order {group.order}"
+            )
+        if len(orb) != size:
+            raise SizeMismatch(f"{what} orbit of {x} has size {len(orb)}, expected {size}")
+        remaining -= orb
+        reps.append(x)
+    return reps
+
+
 def _coset_orbits(sub: SimilarSublattice, group: SymmetryGroup, reps):
     """Orbits of the nonzero Voronoi representatives under the group action
     on cosets (apply the matrix, then reduce back into V0(0))."""
-    remaining = set(reps)
-    orbits = []
-    for rep in sorted(reps):
-        if rep not in remaining:
-            continue
-        orb = set()
-        for g in group.elements:
-            moved = _imatvec(g, rep)
-            _, r = sub.coset_reduce(moved)
-            orb.add(r)
-        if len(orb) != group.order or not orb <= remaining:
-            raise SizeMismatch(
-                f"group orbit of {rep} has size {len(orb)}, expected {group.order}"
-            )
-        remaining -= orb
-        orbits.append(rep)
-    return orbits
+    return _orbit_reps(
+        group, reps, lambda g, r: sub.coset_reduce(_imatvec(g, r))[1], group.order, "Voronoi point"
+    )
 
 
 def _class_orbits(group: SymmetryGroup, keys):
     """Orbits of canonical class keys; each orbit holds order/2 classes."""
-    remaining = set(keys)
-    out = []
-    for k in sorted(keys):
-        if k not in remaining:
-            continue
-        orb = {class_key(_imatvec(g, k)) for g in group.elements}
-        if len(orb) != group.order // 2 or not orb <= remaining:
-            raise SizeMismatch(
-                f"class orbit of {k} has size {len(orb)}, expected {group.order // 2}"
-            )
-        remaining -= orb
-        out.append(k)
-    return out
+    return _orbit_reps(
+        group, keys, lambda g, k: class_key(_imatvec(g, k)), group.order // 2, "edge class"
+    )
 
 
 def optimal_class_matching(sub: SimilarSublattice, base_endpoints, group: SymmetryGroup):
@@ -284,21 +288,24 @@ def optimal_class_matching(sub: SimilarSublattice, base_endpoints, group: Symmet
     keys = sorted({class_key(p) for p in base_endpoints if any(p)})
     if 2 * len(keys) != len(reps):
         raise SizeMismatch(f"{len(reps)} points vs {len(keys)} edge classes")
-    porbs = _coset_orbits(sub, group, reps)
+    # The class orbits are cheap and are the ones that fail when the full
+    # group does not fit the index, so they are checked first.
     corbs = _class_orbits(group, keys)
+    porbs = _coset_orbits(sub, group, reps)
     if len(porbs) != len(corbs):
         raise SizeMismatch(f"{len(porbs)} point orbits vs {len(corbs)} class orbits")
     m = group.order
+    twists = [sorted({class_key(_imatvec(g, k0)) for g in group.elements}) for k0 in corbs]
+    # Costs are kept as integers 2L * m * d_s; every d_s has denominator 2L.
     cost = []
     best_key = []
     for p0 in porbs:
         row = []
         rowk = []
-        for k0 in corbs:
-            twists = sorted({class_key(_imatvec(g, k0)) for g in group.elements})
+        for ks in twists:
             best = None
-            for k in twists:
-                c = ds_cost(lat, p0, closest_edge_in_class(sub, p0, k))
+            for k in ks:
+                c = _ds2(lat, p0, closest_edge_in_class(sub, p0, k))
                 if best is None or c < best[0]:
                     best = (c, k)
             row.append(m * best[0])
@@ -307,7 +314,7 @@ def optimal_class_matching(sub: SimilarSublattice, base_endpoints, group: Symmet
         best_key.append(rowk)
     cols, total = min_cost_assignment(cost)
     anchors = {porbs[i]: best_key[i][cols[i]] for i in range(len(porbs))}
-    return anchors, total
+    return anchors, Fraction(total, 2 * lat.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +504,7 @@ def _expand_anchors(sub: SimilarSublattice, group: SymmetryGroup, anchors):
     lat = sub.lattice
     zero = (0,) * lat.dim
     table = {zero: (zero, zero)}
-    cost = Fraction(0)
+    cost = 0
     for p0, k0 in anchors.items():
         for g in group.elements:
             moved = _imatvec(g, p0)
@@ -509,8 +516,8 @@ def _expand_anchors(sub: SimilarSublattice, group: SymmetryGroup, anchors):
             # relocating for the reduced representative is exact.
             edge = closest_edge_in_class(sub, rep, key)
             table[rep] = edge
-            cost += ds_cost(lat, rep, edge)
-    return table, cost
+            cost += _ds2(lat, rep, edge)
+    return table, Fraction(cost, 2 * lat.dim)
 
 
 def build_labeling(

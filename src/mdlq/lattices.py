@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -166,10 +165,7 @@ class Lattice:
                     if x * x + y * y - x * y <= max_norm:
                         pts.append((x, y))
         else:
-            b = math.isqrt(max_norm)
-            for u in product(range(-b, b + 1), repeat=self.dim):
-                if sum(c * c for c in u) <= max_norm:
-                    pts.append(u)
+            pts.extend(_cubic_ball(self.dim, max_norm))
         pts.sort()
         return pts
 
@@ -200,6 +196,19 @@ class ThetaShells:
 
     def __len__(self) -> int:
         return len(self.A)
+
+
+def _cubic_ball(dim: int, budget: int):
+    """Integer vectors with sum of squares <= budget, lexicographically.  Each
+    coordinate spends part of the budget, so only points of the ball are
+    visited; the generator keeps no partial vectors alive."""
+    if dim == 0:
+        yield ()
+        return
+    b = math.isqrt(budget)
+    for x in range(-b, b + 1):
+        for rest in _cubic_ball(dim - 1, budget - x * x):
+            yield (x, *rest)
 
 
 def get_lattice(name: str) -> Lattice:

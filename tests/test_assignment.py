@@ -49,3 +49,38 @@ def test_deterministic_given_input_order():
 def test_rejects_non_square():
     with pytest.raises(ValueError):
         min_cost_assignment([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 64, 120])
+def test_matches_scipy_with_many_ties(n):
+    rng = np.random.default_rng(n)
+    cost = rng.integers(0, 4, size=(n, n))
+    cols, total = min_cost_assignment(cost.tolist())
+    ri, ci = linear_sum_assignment(cost)
+    assert total == int(cost[ri, ci].sum())
+    assert sorted(cols) == list(range(n))
+    assert total == sum(int(cost[i, c]) for i, c in enumerate(cols))
+
+
+def test_costs_beyond_int64_run_exactly():
+    rng = np.random.default_rng(7)
+    n = 25
+    small = rng.integers(-20, 20, size=(n, n))
+    big = [[int(x) + 2**70 for x in row] for row in small.tolist()]
+    cols, total = min_cost_assignment(big)
+    ri, ci = linear_sum_assignment(small)
+    assert total == int(small[ri, ci].sum()) + n * 2**70
+    assert sorted(cols) == list(range(n))
+
+
+def test_fraction_costs_with_mixed_denominators():
+    rng = np.random.default_rng(3)
+    n = 12
+    num = rng.integers(-30, 30, size=(n, n))
+    den = rng.choice([1, 2, 3, 5, 7], size=(n, n))
+    cost = [[Fraction(int(a), int(b)) for a, b in zip(r, d)] for r, d in zip(num, den)]
+    cols, total = min_cost_assignment(cost)
+    scaled = np.array([[int(c * 210) for c in row] for row in cost])
+    ri, ci = linear_sum_assignment(scaled)
+    assert total == Fraction(int(scaled[ri, ci].sum()), 210)
+    assert total == sum(cost[i][c] for i, c in enumerate(cols))

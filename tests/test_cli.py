@@ -229,3 +229,12 @@ def test_simulate_beyond_int64_without_asserts(lattice, index):
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("InvalidInput:")
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf"])
+def test_non_positive_or_non_finite_beta_rejected(capsys, command, beta):
+    code, out, err = run(capsys, command, "--lattice", "A2", "--index", "7", f"--beta={beta}")
+    assert code == 1
+    assert err.startswith("InvalidInput:") and "--beta" in err
+    assert out == ""

@@ -11,6 +11,7 @@ from mdlq.errors import (
     AsymmetricEdgeSet,
     InadmissibleIndex,
     NotALabel,
+    SizeMismatch,
     ZeroEdge,
 )
 from mdlq.labeling import (
@@ -280,6 +281,14 @@ def test_matching_anchor_classes_cover_orbits(lab31):
     assert total == lab31.cost_total
 
 
+@pytest.mark.parametrize("name,n", [("Z2", 41), ("A2", 49)])
+def test_full_group_failure_names_the_open_edge_set(name, n):
+    # These indices fall back to {I, -I}; the error says why the full group failed.
+    sub = design_sublattice(name, n)
+    with pytest.raises(SizeMismatch, match=r"leaves the edge class set at .* not closed under"):
+        build_labeling(sub, group=group_for(sub.lattice, sub))
+
+
 # -- build, properties, round trips -----------------------------------------------------
 
 
@@ -446,7 +455,8 @@ def test_hand_design_serialization_round_trip():
 
 
 def test_serialization_round_trip_fallback_group():
-    # N=49 needs the {I,-I} fallback (the full rotation group fixes a coset).
+    # N=49 needs the {I,-I} fallback (its edge class set is not closed under
+    # the full rotation group).
     lab = design("A2", 49)
     assert lab.group.order == 2
     rebuilt = labeling_from_dict(lab.to_dict())

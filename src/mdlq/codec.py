@@ -2,8 +2,9 @@
 reconstruct, and Monte-Carlo simulate rates and distortions.
 
 The simulator is vectorized with numpy; every combinatorial step (coset
-reduction, row lookup, coloring, orientation) uses exact integer arithmetic
-on int64 arrays, so the bulk path agrees with the scalar exact path
+reduction, row lookup, orientation) uses exact integer arithmetic on int64
+arrays, and the orientation is the labeling's own per-row rule
+(``orientation_flip``), so the bulk path agrees with the scalar exact path
 everywhere except measure-zero ties of the real-input quantizer.
 
 Source kinds:
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidInput, ResourceLimit
 from .evaluation import analytic_d0, analytic_excess, analytic_rates, cell_volume
-from .labeling import DirectedEdge, Labeling
+from .labeling import DirectedEdge, Labeling, orientation_flip
 from .lattices import Lattice
 
 _SQRT3 = math.sqrt(3.0)
@@ -202,7 +203,6 @@ class BulkEncoder:
         sub = labeling.sub
         self.sub = sub
         self.dim = sub.dim
-        self.gram2 = sub.lattice.gram2.astype(np.int64)
         adj = np.array(sub.adjugate, dtype=np.int64)
         # Largest |coordinate| whose coset reduction and label keys stay far
         # from int64 overflow (every intermediate is at most ~2^61).
@@ -218,8 +218,12 @@ class BulkEncoder:
             raise ResourceLimit(f"row keys in base {self.radix}^{self.dim} overflow int64")
         self.offset = m
         self.keys = self._pack(self.reps)
-        self.edge_a = np.array([labeling.table[r][0] for r in reps], dtype=np.int64)
-        self.edge_b = np.array([labeling.table[r][1] for r in reps], dtype=np.int64)
+        # The labeling's rows as columns; ends[0] / ends[1] hold the endpoints.
+        rows = [labeling.rows[r] for r in reps]
+        self.ends = np.array([[r.first for r in rows], [r.second for r in rows]], dtype=np.int64)
+        self.axis, self.step, self.phase = np.array(
+            [[r.axis for r in rows], [r.step for r in rows], [r.phase for r in rows]], dtype=np.int64
+        )
 
     def _pack(self, rep: np.ndarray) -> np.ndarray:
         key = rep[:, 0] + self.offset
@@ -243,44 +247,9 @@ class BulkEncoder:
         """Directed labels for an (n, L) int64 array; returns (E1, E2)."""
         vp, rep = bulk_coset_reduce(self.sub, lam)
         rows = self._row_indices(rep)
-        ea = self.edge_a[rows] + vp
-        eb = self.edge_b[rows] + vp
-        # Canonical endpoint order (lexicographic per row).
-        swap = np.zeros(len(lam), dtype=bool)
-        decided = np.zeros(len(lam), dtype=bool)
-        for j in range(self.dim):
-            gt = ~decided & (ea[:, j] > eb[:, j])
-            lt = ~decided & (ea[:, j] < eb[:, j])
-            swap |= gt
-            decided |= gt | lt
-        p = np.where(swap[:, None], eb, ea)
-        q = np.where(swap[:, None], ea, eb)
-        zero_len = ~decided
-
-        # Color on the shifted edge: first coordinate with a nonzero step.
-        delta = np.abs(q - p)
-        col = np.zeros(len(lam), dtype=np.int64)
-        pending = ~zero_len
-        for j in range(self.dim):
-            use = pending & (delta[:, j] > 0)
-            col[use] = np.floor_divide(p[use, j] + q[use, j], 2 * delta[use, j]) % 2
-            pending &= ~use
-
-        # Orientation sign of <p - q, lam - mu> with the boundary rule.
-        d = p - q
-        w2 = 2 * lam - p - q
-        s = np.einsum("ij,jk,ik->i", d, self.gram2, w2)
-        sgn = np.sign(s)
-        und = sgn == 0
-        for j in range(self.dim):
-            fix = und & (w2[:, j] != 0)
-            sgn[fix] = np.sign(w2[fix, j])
-            und &= ~fix
-        sgn[und] = 1
-        keep = (sgn > 0) == (col == 0)
-        e1 = np.where(keep[:, None] | zero_len[:, None], p, q)
-        e2 = np.where(keep[:, None] | zero_len[:, None], q, p)
-        return e1, e2
+        shift = vp[np.arange(len(vp)), self.axis[rows]]
+        flip = orientation_flip(self.phase[rows], self.step[rows], shift)
+        return self.ends[flip, rows] + vp, self.ends[1 - flip, rows] + vp
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InadmissibleIndex, MdlqError
+from .errors import InadmissibleIndex, InvalidInput, MdlqError
 from .labeling import Labeling, build_labeling
 from .lattices import Lattice, fills_shells, get_lattice, sphere_second_moment
 from .sublattices import design_sublattice, find_params
@@ -41,13 +41,18 @@ def analytic_rates(lat: Lattice, n: int, beta: float, h_bits: float):
 
 
 def rate_targeted_beta(lat: Lattice, rate: float, a: float, h_bits: float) -> float:
-    """Scale factor for a target per-channel rate: beta^L = 2^(L h) 2^(-L R(1+a)) / (2^L nu)."""
-    return 2.0 ** (h_bits - rate * (1.0 + a) - 1.0) / lat.fundamental_volume ** (1.0 / lat.dim)
+    """Scale factor for a target per-channel rate: beta^L = 2^(L h) 2^(-L R(1+a)) / (2^L nu);
+    InvalidInput unless it is a finite number > 0."""
+    e = h_bits - rate * (1.0 + a) - 1.0
+    beta = 2.0**e / lat.fundamental_volume ** (1.0 / lat.dim) if e < 1024 else math.inf
+    if not (math.isfinite(beta) and beta > 0):
+        raise InvalidInput(f"rate {rate} gives beta={beta}, not a finite number > 0")
+    return beta
 
 
 def analytic_excess(labeling: Labeling, beta: float) -> float:
     """Mean labeling excess (1/N) sum d_s(e), scaled by beta^2."""
-    return beta * beta * float(labeling.excess_sum()) / labeling.index
+    return beta * beta * float(labeling.cost_total) / labeling.index
 
 
 @dataclass
@@ -74,7 +79,7 @@ def bound_sandwich(labeling: Labeling, beta: float = 1.0) -> BoundSandwich:
     lengths = labeling.edge_lengths_sq()
     sum_l2 = sum(lengths, Fraction(0))
     lower_term = sum_l2 / (4 * n)
-    mid_term = labeling.excess_sum() / n
+    mid_term = labeling.cost_total / n
     # The covering-radius slack only enters through positive-length edges;
     # the N=1 design (zero edge only) has no side penalty at all.
     rstar_sq = 4 * labeling.sub.covering_radius_sq() if any(lengths) else Fraction(0)

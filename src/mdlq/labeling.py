@@ -15,10 +15,14 @@ Construction pipeline (all exact integer / rational arithmetic):
 
 A finished ``Labeling`` stores one relocated edge per coset representative;
 encode/decode extend it to the whole lattice through the shift property.
+Each row also stores its direction (``Row``), so encode and decode evaluate
+one parity, ``orientation_flip``, which the bulk encoder applies to arrays;
+``verify_properties`` checks every row against the general rule ``direct_edge``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -74,10 +78,6 @@ def class_key(delta):
     """Canonical representative of the edge class with difference +-delta."""
     nd = _neg(delta)
     return delta if delta <= nd else nd
-
-
-def edge_class_key(edge):
-    return class_key(_sub(edge[1], edge[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,29 @@ def direct_edge(lat: Lattice, edge, lam, c: int | None = None) -> DirectedEdge:
     if (s > 0) == (c == 0):
         return DirectedEdge(a, b)
     return DirectedEdge(b, a)
+
+
+# Direction of a table row: rep + vp (vp a sublattice point) is labeled
+# (first + vp, second + vp), reversed where orientation_flip(phase, step, vp[axis]) is 1.
+Row = namedtuple("Row", "first second axis step phase")
+
+
+def orientation_flip(phase, step, shift):
+    """The one shift-dependent bit of a label, for Python ints and int64 arrays."""
+    return (phase + 2 * shift) // step % 2
+
+
+def _row(lat: Lattice, rep, edge) -> Row:
+    """Row of the canonical edge (a, b) relocated for ``rep``: a shift by vp
+    moves only the color floor((a_j + b_j + 2 vp_j) / step) mod 2, and the edge
+    is reversed where it differs from the sign bit (1 if rep is nearer to b).
+    At odd N only the zero row has rep at its midpoint; step 1 never reverses it."""
+    a, b = edge
+    if a == b:
+        return Row(a, b, 0, 1, 0)
+    j = next(i for i in range(lat.dim) if a[i] != b[i])
+    step = 2 * abs(b[j] - a[j])
+    return Row(a, b, j, step, a[j] + b[j] + (step if _orientation_sign(lat, edge, rep) < 0 else 0))
 
 
 def select_point(lat: Lattice, de: DirectedEdge, candidate, c: int | None = None):
@@ -331,18 +354,18 @@ class Labeling:
     group: SymmetryGroup
     table: dict  # V0(0) representative -> relocated undirected edge
     base_endpoints: list
-    shell_hist: dict
-    kmax: int
     anchors: dict
     cost_total: Fraction
-    class_table: dict = field(init=False)
+    class_table: dict = field(init=False)  # edge class key -> first representative using it
+    rows: dict = field(init=False)  # V0(0) representative -> Row
 
     def __post_init__(self):
         self.class_table = {}
+        self.rows = {}
         for rep in sorted(self.table):
             edge = self.table[rep]
-            key = edge_class_key(edge)
-            self.class_table.setdefault(key, (rep, edge))
+            self.class_table.setdefault(class_key(_sub(edge[1], edge[0])), rep)
+            self.rows[rep] = _row(self.lattice, rep, edge)
 
     # -- public accessors ------------------------------------------------------
 
@@ -359,18 +382,20 @@ class Labeling:
         lat = self.lattice
         return [Fraction(lat.qshell(_sub(e[1], e[0])), lat.dim) for e in self.table.values()]
 
-    def excess_sum(self) -> Fraction:
-        """Sum of d_s(lam, e) over the discrete Voronoi set, exact."""
-        return self.cost_total
-
     # -- encoding ----------------------------------------------------------------
 
     def alpha_u(self, lam):
         """Undirected label of an arbitrary lattice point (shift extension)."""
-        lam = tuple(int(x) for x in lam)
-        vp, rep = self.sub.coset_reduce(lam)
+        vp, rep = self.sub.coset_reduce(tuple(int(x) for x in lam))
         a, b = self.table[rep]
-        return canonical_edge(_add(a, vp), _add(b, vp))
+        return (_add(a, vp), _add(b, vp))
+
+    def _directed(self, rep, vp) -> DirectedEdge:
+        """Label of rep + vp: its row's edge shifted by vp, flipped or not."""
+        row = self.rows[rep]
+        ends = (_add(row.first, vp), _add(row.second, vp))
+        f = orientation_flip(row.phase, row.step, vp[row.axis])
+        return DirectedEdge(ends[f], ends[1 - f])
 
     def encode(self, lam) -> DirectedEdge:
         """Directed label of a lattice point.
@@ -378,35 +403,28 @@ class Labeling:
         The color is evaluated on the shifted edge, so orientation alternates
         along lines of equivalent edges exactly as the balance rule requires.
         """
-        lam = tuple(int(x) for x in lam)
-        edge = self.alpha_u(lam)
-        if edge[0] == edge[1]:
-            return DirectedEdge(edge[0], edge[1])
-        return direct_edge(self.lattice, edge, lam)
+        vp, rep = self.sub.coset_reduce(tuple(int(x) for x in lam))
+        return self._directed(rep, vp)
 
     def decode_both(self, de) -> tuple:
         """Invert ``encode``: recover the lattice point from a directed label."""
         de = DirectedEdge(tuple(de[0]), tuple(de[1]))
         a, b = de
-        if a == b:
-            if not self.sub.contains(a):
-                raise NotALabel(f"{a} is not a sublattice point")
-            return a
         key = class_key(_sub(b, a))
-        hit = self.class_table.get(key)
-        if hit is None:
+        rep = self.class_table.get(key)
+        if rep is None:
             raise NotALabel(f"edge class {key} is not part of this design")
-        rep, base_edge = hit
+        row = self.rows[rep]
         total = _add(a, b)
-        base_total = _add(base_edge[0], base_edge[1])
-        diff = _sub(total, base_total)
+        diff = _sub(total, _add(row.first, row.second))
         if any(x % 2 for x in diff):
             raise NotALabel(f"{de} is not aligned with the design's edge set")
         shift = tuple(x // 2 for x in diff)
         if not self.sub.contains(shift):
             raise NotALabel(f"{de} is not a shift of a design edge")
+        # The edge labels rep + shift and its mirror, in opposite orientations.
         cand = _add(rep, shift)
-        return select_point(self.lattice, de, cand)
+        return cand if self._directed(rep, shift) == de else _sub(total, cand)
 
     # -- property verification ----------------------------------------------------
 
@@ -418,8 +436,12 @@ class Labeling:
 
         # Property 3 (+ pairwise balance): each positive-length edge labels two
         # points summing to the edge-endpoint sum, with opposite orientations.
+        # Every row is canonical, and its stored direction follows direct_edge.
         for rep in sub.voronoi_reps:
             edge = self.table[rep]
+            de_a = self.encode(rep)
+            if edge != canonical_edge(*edge) or de_a != direct_edge(lat, edge, rep):
+                raise PropertyCheckFailed("direction", f"rep {rep} -> {self.rows[rep]}")
             if edge[0] == edge[1]:
                 if edge[0] != zero or rep != zero:
                     raise PropertyCheckFailed("zero-edge", f"rep {rep} -> {edge}")
@@ -429,7 +451,6 @@ class Labeling:
                 raise PropertyCheckFailed(
                     "midpoint-sum", f"edge {edge} labels {rep} but not {partner}"
                 )
-            de_a = self.encode(rep)
             de_b = self.encode(partner)
             if partner != rep and de_b != de_a.reversed():
                 raise PropertyCheckFailed(
@@ -466,8 +487,10 @@ class Labeling:
             for s in gens:
                 lhs = self.alpha_u(_add(lam, s))
                 rhs = self.alpha_u(lam)
-                if lhs != canonical_edge(_add(rhs[0], s), _add(rhs[1], s)):
+                if lhs != (_add(rhs[0], s), _add(rhs[1], s)):
                     raise PropertyCheckFailed("shift", f"lam={lam}, shift={s}")
+                if self.encode(_add(lam, s)) != direct_edge(lat, lhs, _add(lam, s)):
+                    raise PropertyCheckFailed("direction", f"lam={lam}, shift={s}")
 
     # -- serialization -------------------------------------------------------------
 
@@ -539,7 +562,7 @@ def build_labeling(
             f"labeling requires an odd index (got N={sub.index}); even indices "
             "put points on coset boundaries and break the pairing structure"
         )
-    endpoints, hist, kmax = base_edge_set(sub)
+    endpoints, _, _ = base_edge_set(sub)
     if sub.index > 1:
         # Negation closure of the edge set (positive-length classes in pairs).
         eps = set(endpoints)
@@ -556,7 +579,7 @@ def build_labeling(
             table, cost = _expand_anchors(sub, g, found)
             if len(table) != sub.index:
                 raise SizeMismatch(f"table has {len(table)} rows, expected {sub.index}")
-            lab = Labeling(sub, g, table, endpoints, hist, kmax, found, cost)
+            lab = Labeling(sub, g, table, endpoints, found, cost)
             if check:
                 lab.verify_properties()
             return lab

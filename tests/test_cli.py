@@ -238,3 +238,65 @@ def test_non_positive_or_non_finite_beta_rejected(capsys, command, beta):
     assert code == 1
     assert err.startswith("InvalidInput:") and "--beta" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--rate=nan"],
+        ["--rate=inf"],
+        ["--entropy=nan", "--rate=2"],
+        ["--entropy=-inf", "--beta=1"],
+    ],
+)
+def test_non_finite_rate_or_entropy_rejected(capsys, command, flags):
+    code, out, err = run(capsys, command, "--lattice", "A2", "--index", "7", *flags)
+    assert code == 1
+    assert err.startswith("InvalidInput:") and flags[0].split("=")[0] in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("a", ["-5", "0", "1", "nan"])
+def test_rate_split_outside_unit_interval_rejected(capsys, command, a):
+    code, out, err = run(capsys, command, "--lattice", "A2", "--index", "7", "--rate=2", f"--a={a}")
+    assert code == 1
+    assert err.startswith("InvalidInput:") and "--a" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize("rate", ["1e300", "-1e300"])
+def test_rate_targeted_beta_outside_float_range_rejected(capsys, command, rate):
+    # beta underflows to 0 or overflows to inf.
+    code, out, err = run(capsys, command, "--lattice", "A2", "--index", "7", f"--rate={rate}")
+    assert code == 1
+    assert err.startswith("InvalidInput: rate") and "beta" in err
+    assert out == ""
+
+
+def test_properties_verified_once_per_command(tmp_path, capsys, monkeypatch):
+    from mdlq.labeling import Labeling
+
+    calls = []
+    original = Labeling.verify_properties
+    monkeypatch.setattr(Labeling, "verify_properties", lambda lab: calls.append(1) or original(lab))
+    path = tmp_path / "z13.json"
+    assert run(capsys, "design", "--lattice", "Z2", "--index", "13", "--out", str(path))[0] == 0
+    assert len(calls) == 1
+    code, out, _ = run(capsys, "verify", "--design", str(path))
+    assert code == 0 and out.count("PASS") == 4
+    assert len(calls) == 2
+
+
+def test_verify_names_the_failed_property(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    run(capsys, "design", "--lattice", "Z1", "--index", "5", "--out", str(path))
+    doc = json.loads(path.read_text())
+    row = next(r for r in doc["table"] if r["edge"][0] != r["edge"][1])
+    row["edge"].reverse()
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--design", str(path))
+    assert code == 1
+    assert err.startswith("PropertyCheckFailed:") and "serialization" in err

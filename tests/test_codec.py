@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlq.codec import (
     BulkEncoder,
@@ -16,7 +19,7 @@ from mdlq.codec import (
 )
 from mdlq.errors import InvalidInput
 from mdlq.evaluation import rate_targeted_beta
-from mdlq.labeling import DirectedEdge
+from mdlq.labeling import DirectedEdge, direct_edge
 from mdlq.lattices import get_lattice
 
 from .conftest import design
@@ -110,6 +113,44 @@ def test_bulk_encoder_matches_scalar(name, n):
         de = lab.encode(tuple(int(x) for x in lam[i]))
         assert tuple(int(x) for x in e1[i]) == de.first
         assert tuple(int(x) for x in e2[i]) == de.second
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(name, n):
+    return BulkEncoder(design(name, n))
+
+
+@st.composite
+def _points(draw, enc):
+    """Lattice points within +-coord_bound/2: arbitrary ones, and a table
+    representative (the zero row included) plus a sublattice point."""
+    sub, dim = enc.sub, enc.dim
+    bound = enc.coord_bound // 2
+    coord = st.one_of(st.integers(-40, 40), st.integers(-bound, bound))
+    reach = bound // int(np.abs(sub.gtilde.astype(np.int64)).sum(axis=1).max())
+    shift = st.integers(-reach, reach)
+    reps = [tuple(int(x) for x in r) for r in enc.reps]
+    free = st.tuples(*[coord] * dim)
+    on_row = st.builds(
+        lambda r, u: tuple(x + y for x, y in zip(r, sub.from_sub_coords(u))),
+        st.sampled_from(reps),
+        st.tuples(*[shift] * dim),
+    )
+    return draw(st.lists(st.one_of(free, on_row), min_size=1, max_size=16))
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z4", 49), ("Z8", 81)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bulk_scalar_and_direction_rule_agree(name, n, data):
+    enc = _encoder(name, n)
+    lab = design(name, n)
+    pts = data.draw(_points(enc))
+    e1, e2 = enc.encode(np.array(pts, dtype=np.int64))
+    for lam, p, q in zip(pts, e1.tolist(), e2.tolist()):
+        bulk = DirectedEdge(tuple(p), tuple(q))
+        assert bulk == lab.encode(lam) == direct_edge(lab.lattice, lab.alpha_u(lam), lam)
+        assert lab.decode_both(bulk) == lam
 
 
 def test_bulk_encoder_rejects_foreign_representatives(lab31):

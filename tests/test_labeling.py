@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from mdlq.errors import (
     AsymmetricEdgeSet,
     InadmissibleIndex,
     NotALabel,
+    PropertyCheckFailed,
     SizeMismatch,
     ZeroEdge,
 )
@@ -427,6 +429,22 @@ def test_round_trip_other_families(name, n):
     for lam in rng.integers(-25, 25, size=(200, dim)):
         lam = tuple(int(x) for x in lam)
         assert lab.decode_both(lab.encode(lam)) == lam
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z8", 81)])
+def test_verify_catches_a_flipped_row_direction(name, n):
+    lab = dataclasses.replace(design(name, n))  # fresh rows; the cached design stays intact
+    rep, row = next((r, w) for r, w in sorted(lab.rows.items()) if w.first != w.second)
+    lab.rows[rep] = row._replace(phase=row.phase + row.step)
+    with pytest.raises(PropertyCheckFailed, match="direction"):
+        lab.verify_properties()
+
+
+def test_verify_catches_a_non_canonical_row(lab31):
+    rep, edge = next((r, e) for r, e in sorted(lab31.table.items()) if e[0] != e[1])
+    lab = dataclasses.replace(lab31, table={**lab31.table, rep: (edge[1], edge[0])})
+    with pytest.raises(PropertyCheckFailed, match="direction"):
+        lab.verify_properties()
 
 
 def test_decode_zero_edge(lab31):

@@ -100,7 +100,10 @@ _exponent = _float_where(lambda v: 0 < v < 1, "in (0, 1)")  # --a
 def _parse_params(text: str | None):
     if text is None:
         return None
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise InvalidInput(f"--params takes comma-separated integers, got {text!r}") from None
 
 
 def _build_from_args(args):
@@ -143,10 +146,10 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    source = SourceSpec.parse(args.source)
     lab = _build_from_args(args)
     beta = _resolve_beta(args, lab)
     design = ScaledDesign(lab, beta)
-    source = SourceSpec.parse(args.source)
     report = simulate(design, source, args.samples, args.seed)
     doc = report.to_dict()
     if args.format == "csv":

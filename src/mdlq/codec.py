@@ -7,6 +7,13 @@ arrays, and the orientation is the labeling's own per-row rule
 (``orientation_flip``), so the bulk path agrees with the scalar exact path
 everywhere except measure-zero ties of the real-input quantizer.
 
+The side rates H1/H2 are the empirical entropies of the side labels.  Each
+chunk of ``CHUNK`` samples keeps only its distinct label rows and their
+counts (``_row_counts``: every row packed into one int64 in mixed radix and
+sorted once, in the lexicographic order of the rows); the chunk counts are
+merged by one weighted call of the same function, so the counts and the
+reported entropies are exact and the raw labels are dropped chunk by chunk.
+
 Source kinds:
 
 * ``uniform:W``  -- i.i.d. uniform on [-W, W] per coordinate.
@@ -43,14 +50,15 @@ class SourceSpec:
         kind, _, value = text.partition(":")
         kind = kind.strip().lower()
         if kind not in ("uniform", "gauss", "periods"):
-            raise ValueError(f"unknown source kind {kind!r}")
-        if not value:
-            raise ValueError(f"source {text!r} needs a parameter, e.g. uniform:2.0")
-        param = float(value)
-        if param <= 0:
-            raise ValueError("source parameter must be positive")
+            raise InvalidInput(f"unknown source kind {kind!r}; expected uniform, gauss or periods")
+        try:
+            param = float(value)
+        except ValueError:
+            raise InvalidInput(f"source {text!r} needs a number, e.g. uniform:2.0") from None
+        if not (math.isfinite(param) and param > 0):
+            raise InvalidInput(f"source parameter must be a finite number > 0, got {value}")
         if kind == "periods" and param != int(param):
-            raise ValueError("periods source takes an integer period count")
+            raise InvalidInput("periods source takes an integer period count")
         return cls(kind, param)
 
     def label(self) -> str:
@@ -316,6 +324,44 @@ def _hex_cell_offsets(rng, m):
     return out[:m]
 
 
+def _row_counts(keys: np.ndarray, weights: np.ndarray | None = None):
+    """Distinct rows of an (n, L) int64 array, in lexicographic order, with
+    the number of times each occurs -- or, given ``weights``, the sum of the
+    weights of its copies.
+
+    The same integers in the same order as a row-wise ``np.unique`` with
+    ``return_counts``, from one 1-D sort: each row is packed into one
+    int64 in mixed radix, first column most significant, with digit
+    value - column minimum in base column range + 1.  When a column would
+    push the packed size to 2^63, the prefix packed so far is replaced by its
+    dense rank, and if that is still too wide, so is the column; ranks keep
+    the order, and neither exceeds n, so any n < 3*10^9 rows fit.
+    """
+    packed = np.zeros(len(keys), dtype=np.int64)
+    size = 1  # packed values lie in [0, size)
+    for col in keys.T:
+        lo = int(col.min())
+        base = int(col.max()) - lo + 1
+        if size * base >= 2**63:
+            _, packed = np.unique(packed, return_inverse=True)
+            size = int(packed.max()) + 1
+        if size * base >= 2**63:
+            _, digit = np.unique(col, return_inverse=True)
+            base = int(digit.max()) + 1
+        else:
+            digit = col - lo
+        packed = packed * base + digit
+        size *= base
+    _, inverse = np.unique(packed, return_inverse=True)
+    # One source row per distinct key; equal keys are equal rows, so any
+    # copy will do.
+    some = np.empty(int(inverse.max()) + 1, dtype=np.intp)
+    some[inverse] = np.arange(len(keys))
+    counts = np.zeros(len(some), dtype=np.int64)
+    np.add.at(counts, inverse, 1 if weights is None else weights)
+    return keys[some], counts
+
+
 def _entropy_bits(counts: np.ndarray, n: int) -> float:
     p = counts[counts > 0] / n
     return float(-(p * np.log2(p)).sum())
@@ -379,15 +425,15 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
         lam = bulk_nearest(lat, x / beta)
         e1, e2 = enc.encode(lam)
         sq = [float(((x - beta * (y @ basis.T)) ** 2).sum()) / dim for y in (lam, e1, e2)]
-        return sq, label_keys(e1), label_keys(e2)
+        return sq, _row_counts(label_keys(e1)), _row_counts(label_keys(e2))
 
     results = [run_chunk(ci) for ci in range((n_samples + CHUNK - 1) // CHUNK)]
     d0, d1, d2 = (sum(r[0][i] for r in results) / n_samples for i in range(3))
 
     def entropy(j):
-        keys = np.concatenate([r[j] for r in results])
-        _, counts = np.unique(keys, axis=0, return_counts=True)
-        return _entropy_bits(counts, n_samples)
+        rows = np.concatenate([r[j][0] for r in results])
+        counts = np.concatenate([r[j][1] for r in results])
+        return _entropy_bits(_row_counts(rows, counts)[1], n_samples)
 
     r0, r = design.rates_analytic(source_entropy_bits(source, design))
     return SimReport(

@@ -9,6 +9,7 @@ so the inequalities hold exactly or not at all.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,9 +202,18 @@ def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0
         beta = rate_targeted_beta(lat, rate, a, h_bits)
         sum_l2 = sum_i_ai * n ** (2.0 / l) / l
         d_tilde = beta * beta * sum_l2 / (4.0 * n)
-        ratio = d_tilde * 2.0 ** (2.0 * rate * (1.0 - a)) / 2.0 ** (2.0 * h_bits)
-        d0 = analytic_d0(lat, beta)
-        d0_norm = d0 * 2.0 ** (2.0 * rate * (1.0 + a)) * 4.0 / 2.0 ** (2.0 * h_bits)
+        try:
+            d0 = analytic_d0(lat, beta)
+            ratio = d_tilde * 2.0 ** (2.0 * rate * (1.0 - a)) / 2.0 ** (2.0 * h_bits)
+            d0_norm = d0 * 2.0 ** (2.0 * rate * (1.0 + a)) * 4.0 / 2.0 ** (2.0 * h_bits)
+        except ArithmeticError:  # beta^L or 2^(2h) overflows, or 2^(2h) underflows to 0
+            d0 = ratio = d0_norm = math.nan
+        # Outside the normal float range these values have lost their precision.
+        values = (beta * beta, d_tilde, d0, ratio, d0_norm)
+        if not all(sys.float_info.min <= v < math.inf for v in values):
+            raise InvalidInput(
+                f"entropy {h_bits} bits takes the N={n} row beyond the normal float range"
+            )
         rows.append(
             {
                 "N": n,

@@ -300,3 +300,30 @@ def test_verify_names_the_failed_property(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--design", str(path))
     assert code == 1
     assert err.startswith("PropertyCheckFailed:") and "serialization" in err
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["simulate", "--lattice", "A2", "--index", "7", "--source", "weird:1"], "weird"),
+        (["simulate", "--lattice", "A2", "--index", "7", "--source", "uniform:nan"], "nan"),
+        (["simulate", "--lattice", "A2", "--index", "7", "--source", "periods:inf"], "inf"),
+        (["simulate", "--lattice", "A2", "--index", "7", "--source", "gauss:x"], "gauss:x"),
+        (["design", "--lattice", "A2", "--params", "5,x"], "5,x"),
+    ],
+)
+def test_malformed_source_or_params_is_invalid_input(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("InvalidInput:") and text in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("entropy", ["600", "512", "-530", "-600"])
+def test_asymptotic_entropy_beyond_float_range_rejected(capsys, entropy):
+    # 2^(2h) or beta^2 leaves the normal float range (h=600 overflowed, h=-530
+    # printed values that had lost their precision).
+    argv = ["eval", "--asymptotic", "A2", f"--entropy={entropy}", "--n-max", "50"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("InvalidInput: entropy") and out == ""

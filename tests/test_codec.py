@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdlq.codec import (
+    CHUNK,
     BulkEncoder,
     ScaledDesign,
     SourceSpec,
@@ -14,6 +15,7 @@ from mdlq.codec import (
     bulk_nearest,
     encode_vector,
     reconstruct,
+    _row_counts,
     simulate,
     source_entropy_bits,
 )
@@ -30,12 +32,9 @@ def test_source_spec_parsing():
     assert SourceSpec.parse("uniform:2.5") == SourceSpec("uniform", 2.5)
     assert SourceSpec.parse("gauss:1") == SourceSpec("gauss", 1.0)
     assert SourceSpec.parse("periods:20").label() == "periods:20"
-    with pytest.raises(ValueError):
-        SourceSpec.parse("weird:1")
-    with pytest.raises(ValueError):
-        SourceSpec.parse("uniform")
-    with pytest.raises(ValueError):
-        SourceSpec.parse("periods:2.5")
+    for text in ("weird:1", "uniform", "periods:2.5", "gauss:0", "gauss:nan", "periods:inf"):
+        with pytest.raises(InvalidInput):
+            SourceSpec.parse(text)
 
 
 def test_encode_vector_origin(lab31):
@@ -161,6 +160,52 @@ def test_bulk_encoder_rejects_foreign_representatives(lab31):
     for rep in ([40, 0], alias):
         with pytest.raises(InvalidInput):
             enc._row_indices(np.array([rep], dtype=np.int64))
+
+
+# -- label entropy --------------------------------------------------------------------
+
+
+@st.composite
+def _label_rows(draw):
+    """(n, L) int64 rows with repeats; each column draws its values from a
+    few of a narrow, a wide or the full int64 range, so that packing
+    sometimes has to rank the prefix or the column."""
+    n = draw(st.integers(1, 40))
+    cols = []
+    for _ in range(draw(st.integers(1, 8))):
+        span = draw(st.sampled_from([1, 2, 5, 2**21, 2**40, 2**62, 2**64]))
+        lo = draw(st.integers(-(2**63), 2**63 - span)) if span < 2**64 else -(2**63)
+        pool = draw(st.lists(st.integers(lo, lo + span - 1), min_size=1, max_size=5))
+        cols.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    return np.array(cols, dtype=np.int64).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=_label_rows(), data=st.data())
+def test_row_counts_equal_row_sort(keys, data):
+    want_rows, want_counts = np.unique(keys, axis=0, return_counts=True)
+    rows, counts = _row_counts(keys)
+    assert rows.dtype == counts.dtype == np.int64
+    assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
+    # Counted in chunks, then merged with the chunk counts as weights.
+    cuts = sorted(data.draw(st.lists(st.integers(1, len(keys)), max_size=4)))
+    parts = [_row_counts(chunk) for chunk in np.split(keys, cuts) if len(chunk)]
+    rows, counts = _row_counts(*(np.concatenate(p) for p in zip(*parts)))
+    assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
+
+
+def test_row_counts_single_row_and_all_zero_keys():
+    rows, counts = _row_counts(np.array([[-3, 7]], dtype=np.int64))
+    assert rows.tolist() == [[-3, 7]] and counts.tolist() == [1]
+    rows, counts = _row_counts(np.zeros((CHUNK, 2), dtype=np.int64), np.full(CHUNK, 3))
+    assert rows.tolist() == [[0, 0]] and counts.tolist() == [3 * CHUNK]
+
+
+def test_simulate_constant_labels_have_zero_entropy():
+    # A2/1 over one period: every label key is the zero row.
+    d = ScaledDesign(design("A2", 1), beta=1.0)
+    rep = simulate(d, SourceSpec.parse("periods:1"), CHUNK + 5, seed=1)
+    assert rep.h1 == rep.h2 == 0.0
 
 
 # -- simulation -----------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 The files under ``tests/data`` were written by the CLI; these outputs use
 only Python floats and exact rationals, so they must stay identical byte for
-byte.  ``design_sha256.json`` pins the serialized design of every
+byte.  The ``simulate_*.json`` reports were written by the CLI while the
+label entropy still sorted whole rows with ``np.unique(axis=0)``; they cover
+each source kind, more than one chunk, and label keys too wide to pack
+without ranking the packed prefix (Z8/81 ``gauss:3000``) and a column
+(A2/7 ``gauss:1e12``).  ``design_sha256.json`` pins the serialized design of every
 acceptance-sweep design and of the benchmark's build ladder, as written by
 the Fraction-based assignment solver before it was replaced.
 """
@@ -27,6 +31,19 @@ DESIGN_SHA256 = json.loads((DATA / "design_sha256.json").read_text())
         ("eval_fig10.csv", ["eval", "--figure", "fig10"]),
         ("eval_asymptotic_A2_300.csv", ["eval", "--asymptotic", "A2", "--n-max", "300"]),
         ("design_Z2_13.json", ["design", "--lattice", "Z2", "--index", "13"]),
+        *(
+            (f"simulate_{lat}_{n}_{source.replace(':', '_')}.json",
+             ["simulate", "--lattice", lat, "--index", n, "--source", source,
+              "--samples", samples, "--seed", seed, "--beta", beta])
+            for lat, n, source, samples, seed, beta in [
+                ("A2", "31", "periods:20", "150000", "1", "0.7"),
+                ("Z8", "81", "periods:2", "150000", "2", "0.7"),
+                ("A2", "7", "gauss:3", "150000", "3", "0.7"),
+                ("Z1", "5", "uniform:2", "150000", "4", "0.7"),
+                ("Z8", "81", "gauss:3000", "140000", "5", "0.7"),
+                ("A2", "7", "gauss:1e12", "140000", "6", "0.001"),
+            ]
+        ),
     ],
 )
 def test_golden_bytes(tmp_path, capsys, golden, argv):

@@ -36,6 +36,7 @@ from .errors import InvalidInput, ResourceLimit
 from .evaluation import analytic_d0, analytic_excess, analytic_rates, cell_volume
 from .labeling import DirectedEdge, Labeling, orientation_flip
 from .lattices import Lattice
+from .sublattices import bulk_nearest2
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -129,7 +130,7 @@ def reconstruct(design: ScaledDesign, received: str, payload):
     elif received in ("ch1", "ch2"):
         lam = payload  # a single description is the sublattice point itself
     else:
-        raise ValueError("received must be 'both', 'ch1' or 'ch2'")
+        raise InvalidInput(f"received must be 'both', 'ch1' or 'ch2', got {received!r}")
     return design.beta * design.lattice.embed(lam)
 
 
@@ -165,42 +166,9 @@ def bulk_nearest(lat: Lattice, x: np.ndarray) -> np.ndarray:
     return np.stack(best, axis=1)
 
 
-def _bulk_lex_less(a1, a2, b1, b2):
-    return (a1 < b1) | ((a1 == b1) & (a2 < b2))
-
-
 def bulk_coset_reduce(sub, lam: np.ndarray):
     """Vectorized coset_reduce for an (n, L) int64 array of lattice points."""
-    n = sub.index
-    adj = np.array(sub.adjugate, dtype=np.int64)
-    gt = sub.gtilde.astype(np.int64)
-    num = lam @ adj.T
-    if sub.lattice.name == "A2":
-        f = np.floor_divide(num, n)
-        best = None
-        for i in (0, 1):
-            for j in (0, 1):
-                u = f + np.array([i, j], dtype=np.int64)
-                p = u @ gt.T
-                w = lam - p
-                d = w[:, 0] ** 2 + w[:, 1] ** 2 - w[:, 0] * w[:, 1]
-                if best is None:
-                    best = [d.copy(), p[:, 0].copy(), p[:, 1].copy()]
-                else:
-                    upd = (d < best[0]) | (
-                        (d == best[0]) & _bulk_lex_less(p[:, 0], p[:, 1], best[1], best[2])
-                    )
-                    best[0][upd] = d[upd]
-                    best[1][upd] = p[:, 0][upd]
-                    best[2][upd] = p[:, 1][upd]
-        vp = np.stack(best[1:], axis=1)
-    else:
-        # Orthogonal frame: per-coordinate rounding; N odd means the halfway
-        # tie 2r == N can never occur, so rounding is exact.
-        q = np.floor_divide(num, n)
-        r = num - q * n
-        u = q + (2 * r > n)
-        vp = u @ gt.T
+    vp = bulk_nearest2(sub, 2 * lam)
     return vp, lam - vp
 
 
@@ -211,10 +179,9 @@ class BulkEncoder:
         sub = labeling.sub
         self.sub = sub
         self.dim = sub.dim
-        adj = np.array(sub.adjugate, dtype=np.int64)
-        # Largest |coordinate| whose coset reduction and label keys stay far
-        # from int64 overflow (every intermediate is at most ~2^61).
-        self.coord_bound = 2**61 // int(np.abs(adj).sum(axis=1).max())
+        # Largest |coordinate| whose coset reduction (on doubled targets) and
+        # label keys stay far from int64 overflow.
+        self.coord_bound = sub.t2_bound // 2
         # Rows are looked up by packing each V0(0) representative in mixed
         # radix: digits c + m in base 2m + 1 keep lexicographic order, so the
         # packed keys of the sorted representatives are sorted as well.
@@ -364,7 +331,7 @@ def _row_counts(keys: np.ndarray, weights: np.ndarray | None = None):
 
 def _entropy_bits(counts: np.ndarray, n: int) -> float:
     p = counts[counts > 0] / n
-    return float(-(p * np.log2(p)).sum())
+    return float(-(p * np.log2(p)).sum()) + 0.0  # a constant source gives 0.0, not -0.0
 
 
 # Samples per chunk; part of the seeded output (each chunk draws from its own

@@ -187,7 +187,7 @@ def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0
     sphere second moment G(S_L).
     """
     if not 0 < a < 1:
-        raise ValueError("exponent a must lie in (0, 1)")
+        raise InvalidInput(f"exponent a must lie in (0, 1), got {a}")
     l = lat.dim
     rows = []
     for n in n_sequence:
@@ -354,7 +354,7 @@ def figure_data(kind: str, **kwargs):
                 )
         return header, rows
 
-    raise ValueError(f"unknown figure kind {kind!r}; expected fig1, fig9 or fig10")
+    raise InvalidInput(f"unknown figure kind {kind!r}; expected fig1, fig9 or fig10")
 
 
 @dataclass

@@ -22,10 +22,13 @@ one parity, ``orientation_flip``, which the bulk encoder applies to arrays;
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from .assignment import min_cost_assignment
 from .errors import (
@@ -39,7 +42,7 @@ from .errors import (
     ZeroEdge,
 )
 from .lattices import Lattice
-from .sublattices import SimilarSublattice, _imatvec
+from .sublattices import SimilarSublattice, _imatvec, bulk_nearest2
 from .symmetry import SymmetryGroup, group_for, minus_identity_group
 
 
@@ -184,15 +187,10 @@ def select_point(lat: Lattice, de: DirectedEdge, candidate, c: int | None = None
 # ---------------------------------------------------------------------------
 
 
-def _ds2(lat: Lattice, lam, edge) -> int:
-    """2L * d_s(lam, edge): the side distortion over the common denominator."""
-    a, b = edge
-    return lat.qshell(_sub(lam, a)) + lat.qshell(_sub(lam, b))
-
-
 def ds_cost(lat: Lattice, lam, edge) -> Fraction:
     """Side distortion d_s(lam, edge) = (||lam-a||^2 + ||lam-b||^2)/2, exact."""
-    return Fraction(_ds2(lat, lam, edge), 2 * lat.dim)
+    a, b = edge
+    return Fraction(lat.qshell(_sub(lam, a)) + lat.qshell(_sub(lam, b)), 2 * lat.dim)
 
 
 def base_edge_set(sub: SimilarSublattice):
@@ -216,7 +214,7 @@ def base_edge_set(sub: SimilarSublattice):
             kmax = i
             break
     prev = acc - shells.A[kmax]  # points in shells < kmax
-    pts = lat.points_in_shell_ball(kmax)
+    pts = list(lat.points_in_shell_ball(kmax))
     full = [u for u in pts if lat.qshell(u) < kmax]
     last = [u for u in pts if lat.qshell(u) == kmax]
     need = n - prev
@@ -254,6 +252,18 @@ def closest_edge_in_class(sub: SimilarSublattice, lam, delta):
     return canonical_edge(w, _add(w, delta))
 
 
+def _relocate(sub: SimilarSublattice, lam: np.ndarray, delta: np.ndarray):
+    """``closest_edge_in_class`` on the rows of (n, L) arrays (``lam`` may be
+    one row): the near endpoints w, so each edge is {w, w + delta}, and
+    2L * d_s of each row."""
+    w = bulk_nearest2(sub, 2 * lam - delta)
+    d = np.concatenate([lam - w, lam - w - delta])
+    if np.abs(d).max(initial=0) >= 2**27:  # keep the squared lengths exact
+        d = d.astype(object)
+    q = ((d @ sub.lattice.gram2) * d).sum(axis=1) // 2
+    return w, q[: len(w)] + q[len(w) :]
+
+
 # ---------------------------------------------------------------------------
 # group-reduced optimal matching
 # ---------------------------------------------------------------------------
@@ -284,10 +294,13 @@ def _orbit_reps(group: SymmetryGroup, items, act, size: int, what: str):
 
 def _coset_orbits(sub: SimilarSublattice, group: SymmetryGroup, reps):
     """Orbits of the nonzero Voronoi representatives under the group action
-    on cosets (apply the matrix, then reduce back into V0(0))."""
-    return _orbit_reps(
-        group, reps, lambda g, r: sub.coset_reduce(_imatvec(g, r))[1], group.order, "Voronoi point"
-    )
+    on cosets (apply the matrix, then reduce back into V0(0)); every image
+    is reduced in one bulk call."""
+    pts = np.array(reps, dtype=np.int64).reshape(-1, sub.dim)
+    moved = (pts @ np.array(group.elements).transpose(0, 2, 1)).reshape(-1, sub.dim)
+    images = map(tuple, (moved - bulk_nearest2(sub, 2 * moved)).tolist())
+    act = dict(zip(itertools.product(group.elements, reps), images))
+    return _orbit_reps(group, reps, lambda g, r: act[g, r], group.order, "Voronoi point")
 
 
 def _class_orbits(group: SymmetryGroup, keys):
@@ -306,7 +319,6 @@ def optimal_class_matching(sub: SimilarSublattice, base_endpoints, group: Symmet
     optimality of the reduced problem.  Returns anchor pairs
     ``{point_orbit_rep: class_key}`` and the exact total cost.
     """
-    lat = sub.lattice
     reps = [r for r in sub.voronoi_reps if any(r)]
     keys = sorted({class_key(p) for p in base_endpoints if any(p)})
     if 2 * len(keys) != len(reps):
@@ -319,25 +331,20 @@ def optimal_class_matching(sub: SimilarSublattice, base_endpoints, group: Symmet
         raise SizeMismatch(f"{len(porbs)} point orbits vs {len(corbs)} class orbits")
     m = group.order
     twists = [sorted({class_key(_imatvec(g, k0)) for g in group.elements}) for k0 in corbs]
+    classes = np.array([k for ks in twists for k in ks])
     # Costs are kept as integers 2L * m * d_s; every d_s has denominator 2L.
+    # One bulk relocation per point orbit; each twist orbit (m/2 classes in
+    # sorted order) keeps its first minimum.
     cost = []
     best_key = []
     for p0 in porbs:
-        row = []
-        rowk = []
-        for ks in twists:
-            best = None
-            for k in ks:
-                c = _ds2(lat, p0, closest_edge_in_class(sub, p0, k))
-                if best is None or c < best[0]:
-                    best = (c, k)
-            row.append(m * best[0])
-            rowk.append(best[1])
-        cost.append(row)
-        best_key.append(rowk)
+        ds2 = _relocate(sub, np.array([p0]), classes)[1].reshape(len(twists), -1)
+        pick = ds2.argmin(axis=1)
+        cost.append([m * c for c in ds2.min(axis=1).tolist()])
+        best_key.append([ks[i] for ks, i in zip(twists, pick.tolist())])
     cols, total = min_cost_assignment(cost)
     anchors = {porbs[i]: best_key[i][cols[i]] for i in range(len(porbs))}
-    return anchors, Fraction(total, 2 * lat.dim)
+    return anchors, Fraction(total, 2 * sub.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +531,24 @@ def _unit_vectors(dim):
 
 def _expand_anchors(sub: SimilarSublattice, group: SymmetryGroup, anchors):
     """Equivariant extension of per-orbit anchor pairs to the full table."""
-    lat = sub.lattice
-    zero = (0,) * lat.dim
-    table = {zero: (zero, zero)}
-    cost = 0
+    zero = (0,) * sub.dim
+    moved, keys = [zero], [zero]
     for p0, k0 in anchors.items():
         for g in group.elements:
-            moved = _imatvec(g, p0)
-            _, rep = sub.coset_reduce(moved)
-            if rep in table:
-                raise SizeMismatch(f"orbit expansion revisits representative {rep}")
-            key = class_key(_imatvec(g, k0))
-            # alpha* commutes with the group action up to the coset shift, so
-            # relocating for the reduced representative is exact.
-            edge = closest_edge_in_class(sub, rep, key)
-            table[rep] = edge
-            cost += _ds2(lat, rep, edge)
-    return table, Fraction(cost, 2 * lat.dim)
+            moved.append(_imatvec(g, p0))
+            keys.append(class_key(_imatvec(g, k0)))
+    # alpha* commutes with the group action up to the coset shift, so
+    # relocating for the reduced representatives is exact.
+    lam = np.array(moved)
+    reps = lam - bulk_nearest2(sub, 2 * lam)
+    delta = np.array(keys)
+    w, ds2 = _relocate(sub, reps, delta)
+    table = {}
+    for rep, a, b in zip(map(tuple, reps.tolist()), w.tolist(), (w + delta).tolist()):
+        if rep in table:
+            raise SizeMismatch(f"orbit expansion revisits representative {rep}")
+        table[rep] = canonical_edge(tuple(a), tuple(b))
+    return table, Fraction(sum(ds2.tolist()), 2 * sub.dim)
 
 
 def build_labeling(
@@ -624,32 +632,3 @@ def _candidate_groups(sub: SimilarSublattice):
         return [group_for(sub.lattice, sub), fallback]
     except (MdlqError, ValueError):
         return [fallback]
-
-
-def brute_force_min_cost(sub: SimilarSublattice) -> Fraction:
-    """Exhaustive optimum over all constrained bijections (small designs).
-
-    Equivalent-point / equivalent-edge constraints reduce the search to
-    bijections between the (N-1)/2 negation pairs of V0(0) and the (N-1)/2
-    nonzero edge classes; each pairing costs 2 * d_s(p, [k]).
-    """
-    from itertools import permutations
-
-    lat = sub.lattice
-    endpoints, _, _ = base_edge_set(sub)
-    reps = [r for r in sub.voronoi_reps if any(r)]
-    pairs = sorted({max(r, _neg(r)) for r in reps})
-    keys = sorted({class_key(p) for p in endpoints if any(p)})
-    if len(pairs) != len(keys):
-        raise SizeMismatch("pair/class counts differ")
-    if len(pairs) > 8:
-        raise ValueError("brute force limited to (N-1)/2 <= 8")
-    cost = [
-        [2 * ds_cost(lat, p, closest_edge_in_class(sub, p, k)) for k in keys] for p in pairs
-    ]
-    best = None
-    for perm in permutations(range(len(keys))):
-        c = sum(cost[i][perm[i]] for i in range(len(pairs)))
-        if best is None or c < best:
-            best = c
-    return best

@@ -156,18 +156,16 @@ class Lattice:
         return shells
 
     def points_in_shell_ball(self, max_norm: int):
-        """All coordinate vectors with L*||u||^2 <= max_norm, lex sorted."""
-        pts = []
+        """Yield every coordinate vector with L*||u||^2 <= max_norm, in
+        lexicographic order."""
         if self.name == "A2":
             b = math.isqrt(2 * max_norm) + 1
             for x in range(-b, b + 1):
                 for y in range(-b, b + 1):
                     if x * x + y * y - x * y <= max_norm:
-                        pts.append((x, y))
+                        yield (x, y)
         else:
-            pts.extend(_cubic_ball(self.dim, max_norm))
-        pts.sort()
-        return pts
+            yield from _cubic_ball(self.dim, max_norm)
 
     # -- second moments & radii ----------------------------------------------
 

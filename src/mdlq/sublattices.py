@@ -24,6 +24,7 @@ Families (parameters follow the generator constructions for each lattice):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,6 +164,12 @@ class SimilarSublattice:
         adj = [[-x for x in row] for row in adj]
         return tuple(tuple(row) for row in adj)
 
+    @cached_property
+    def t2_bound(self) -> int:
+        """Largest |doubled target| that ``bulk_nearest2`` takes in int64:
+        every adjugate row times such a target stays below 2^62."""
+        return 2**62 // max(sum(abs(x) for x in row) for row in self.adjugate)
+
     # -- membership and coordinates ------------------------------------------
 
     def contains(self, v) -> bool:
@@ -237,12 +244,15 @@ class SimilarSublattice:
 
         Every point of V0(0) lies within the covering radius of the
         sublattice, so an exact ball enumeration followed by the nearest-point
-        filter is exhaustive.
+        filter is exhaustive.  The ball is streamed and filtered in blocks.
         """
         lat = self.lattice
         bound = Fraction(self.scale_sq * lat.dim) * lat.covering_radius_sq()
-        qmax = int(math.ceil(bound))
-        pts = [p for p in lat.points_in_shell_ball(qmax) if self.nearest2(tuple(2 * x for x in p)) == (0,) * self.dim]
+        ball = lat.points_in_shell_ball(int(math.ceil(bound)))
+        pts = []
+        while block := list(itertools.islice(ball, 1024)):
+            home = ~bulk_nearest2(self, 2 * np.array(block)).any(axis=1)
+            pts.extend(p for p, h in zip(block, home.tolist()) if h)
         if len(pts) != self.index:
             raise NotSimilar(
                 f"discrete Voronoi set has {len(pts)} points, expected {self.index}"
@@ -252,6 +262,52 @@ class SimilarSublattice:
     def covering_radius_sq(self) -> Fraction:
         """Normalized squared covering radius of the sublattice (unit scale)."""
         return Fraction(self.scale_sq) * self.lattice.covering_radius_sq()
+
+
+def bulk_nearest2(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
+    """``sub.nearest2`` for each row of an (n, L) integer array of doubled
+    targets, with the same tie rule.
+
+    Only the sub-coordinates adj @ t2 can be large, and int64 holds them up to
+    ``sub.t2_bound``; every later value lies near the target (and int64
+    products wrap exactly).  Past the bound the same code runs on Python ints
+    in an object array.
+    """
+    if not -sub.t2_bound <= t2.min(initial=0) <= t2.max(initial=0) <= sub.t2_bound:
+        t2 = t2.astype(object)
+    adj = np.array(sub.adjugate, dtype=t2.dtype)
+    gt = sub.gtilde.astype(t2.dtype)
+    den = 2 * sub.index
+    num = t2 @ adj.T  # sub-coordinates * 2N
+    if sub.lattice.name == "A2":
+        # The 4 floor candidates p0 + off, offsets in lexicographic order: the
+        # first strict minimum of the distance is the lex smallest nearest point.
+        p0 = (num // den) @ gt.T
+        g0, g1 = gt.T
+        offs = np.array(sorted(tuple(i * g0 + j * g1) for i in (0, 1) for j in (0, 1)))
+        w0 = t2 - 2 * p0
+        for k, off in enumerate(2 * offs):
+            w = w0 - off
+            d = w[:, 0] * (w[:, 0] - w[:, 1]) + w[:, 1] * w[:, 1]  # qshell(w)
+            if k == 0:
+                best, pick = d, np.zeros(len(d), dtype=np.intp)
+            else:
+                upd = d < best
+                best[upd] = d[upd]
+                pick[upd] = k
+        return p0 + offs[pick]
+    # Orthogonal frame: distances separate over the sub-coordinates, so each
+    # rounds on its own, half up.  A tie (num + N divisible by 2N) keeps the +1
+    # side only where the first nonzero entry of that column of Gt is
+    # negative, which gives the lexicographically smallest tied point.  At odd
+    # N a tie needs an odd adj @ t2, so all-even targets skip the check.
+    num += sub.index
+    u = num // den
+    if sub.index % 2 == 0 or np.bitwise_or.reduce(t2, axis=None) & 1:
+        ties = num == u * den
+        if ties.any():
+            u -= ties & np.array([next(x for x in col if x) > 0 for col in sub.gtilde.T.tolist()])
+    return u @ gt.T
 
 
 def build_sublattice(lat: Lattice, params) -> SimilarSublattice:

@@ -20,11 +20,11 @@ from mdlq.evaluation import (
     bound_sandwich,
     figure_data,
 )
-from mdlq.labeling import DirectedEdge, brute_force_min_cost, color
+from mdlq.labeling import DirectedEdge, color
 from mdlq.lattices import get_lattice, sphere_second_moment
 
 from .conftest import design
-from .reference_design import HAND_COST_A2_31, hand_labeling_a2_31
+from .reference_design import HAND_COST_A2_31, brute_force_min_cost, hand_labeling_a2_31
 
 SQRT3 = math.sqrt(3.0)
 

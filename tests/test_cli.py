@@ -39,8 +39,9 @@ def test_design_deterministic_bytes(tmp_path, capsys):
 def test_design_cost_is_brute_force_optimal(tmp_path, capsys):
     from fractions import Fraction
 
-    from mdlq.labeling import brute_force_min_cost
     from mdlq.sublattices import design_sublattice
+
+    from .reference_design import brute_force_min_cost
 
     path = tmp_path / "z5.json"
     code, _, _ = run(capsys, "design", "--lattice", "Z1", "--index", "5", "--out", str(path))
@@ -87,6 +88,16 @@ def test_simulate_deterministic(tmp_path, capsys):
     assert p1.read_bytes() != p3.read_bytes()
     doc = json.loads(p1.read_text())
     assert doc["schema"] == 1 and doc["n"] == 20000
+
+
+def test_simulate_constant_source_reports_positive_zero_entropy(capsys):
+    # A2/1 over one period labels every sample with the zero row.
+    code, out, _ = run(
+        capsys, "simulate", "--lattice", "A2", "--index", "1", "--source", "periods:1",
+        "--beta", "1",
+    )
+    assert code == 0
+    assert '"H1": 0.0,' in out and '"H2": 0.0,' in out
 
 
 def test_simulate_csv_format(capsys):

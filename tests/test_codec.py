@@ -59,7 +59,7 @@ def test_reconstruct_worked_example():
     np.testing.assert_allclose(reconstruct(d, "both", de), lat.embed((18, 10)), atol=1e-12)
     np.testing.assert_allclose(reconstruct(d, "ch1", (23, 14)), lat.embed((23, 14)), atol=1e-12)
     np.testing.assert_allclose(reconstruct(d, "ch2", (17, 9)), lat.embed((17, 9)), atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         reconstruct(d, "both-ish", de)
 
 

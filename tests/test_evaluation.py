@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdlq.errors import InadmissibleIndex, NoRepresentation
+from mdlq.errors import InadmissibleIndex, InvalidInput, NoRepresentation
 from mdlq.evaluation import (
     admissible_asymptotic_indices,
     admissible_design_indices,
@@ -135,7 +135,7 @@ def test_asymptotic_rejects_bad_indices(a2, z1):
         asymptotic_limit_check(get_lattice("Z2"), [21], 0.5)  # not a sum of two squares
     with pytest.raises(InadmissibleIndex):
         asymptotic_limit_check(z1, [1], 0.5)  # too small for the rate map
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         asymptotic_limit_check(z1, [9], 1.5)
 
 
@@ -190,7 +190,7 @@ def test_fig10_empty_sweep():
 
 
 def test_figure_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         figure_data("fig2")
 
 

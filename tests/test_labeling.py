@@ -21,7 +21,6 @@ from mdlq.labeling import (
     _coset_orbits,
     _neg,
     base_edge_set,
-    brute_force_min_cost,
     build_labeling,
     canonical_edge,
     class_key,
@@ -38,7 +37,7 @@ from mdlq.sublattices import build_sublattice, design_sublattice
 from mdlq.symmetry import group_for, minus_identity_group
 
 from .conftest import design
-from .reference_design import HAND_COST_A2_31, hand_labeling_a2_31
+from .reference_design import HAND_COST_A2_31, brute_force_min_cost, hand_labeling_a2_31
 
 
 def _sub(a, b):

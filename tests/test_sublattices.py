@@ -1,12 +1,14 @@
-import math
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlq.errors import InadmissibleIndex, NoRepresentation
 from mdlq.lattices import get_lattice
-from mdlq.sublattices import build_sublattice, design_sublattice, find_params
+from mdlq.sublattices import build_sublattice, bulk_nearest2, design_sublattice, find_params
 
 
 def test_build_a2_31_reference_frame(a2):
@@ -187,6 +189,43 @@ def test_nearest_sublattice_point_vs_brute(name, n):
     for t2 in rng.integers(-51, 51, size=(400, sub.dim)):
         t2 = tuple(int(x) for x in t2)
         assert sub.nearest2(t2) == _brute_nearest2(sub, t2)
+
+
+_cached_design = functools.lru_cache(design_sublattice)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bulk_nearest2_matches_scalar(data):
+    """The bulk kernel against the scalar rule and the brute-force box, on
+    doubled midpoints of sublattice-point pairs (the cell-boundary ties),
+    +-1 around them and random targets; a shift by a far sublattice point
+    takes the targets past the int64 guard onto the object path."""
+    name, n = data.draw(st.sampled_from([("Z1", 7), ("Z2", 13), ("Z4", 9), ("Z8", 81), ("A2", 31)]))
+    sub = _cached_design(name, n)
+    dim = sub.dim
+
+    def vec(lo, hi):
+        return st.lists(st.integers(lo, hi), min_size=dim, max_size=dim)
+
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        a = sub.from_sub_coords(data.draw(vec(-3, 3)))
+        b = sub.from_sub_coords(data.draw(vec(-3, 3)))
+        off = data.draw(vec(-1, 1))
+        rows += [[x + y for x, y in zip(a, b)], [x + y + o for x, y, o in zip(a, b, off)]]
+    rows += data.draw(st.lists(vec(-120, 120), max_size=4))
+    t2 = np.array(rows, dtype=np.int64)
+    got = [tuple(p) for p in bulk_nearest2(sub, t2).tolist()]
+    assert got == [sub.nearest2(tuple(t)) for t in rows]
+    if dim <= 4:  # the brute-force box has 6^L candidates
+        assert got == [_brute_nearest2(sub, tuple(t)) for t in rows]
+    u = [data.draw(st.integers(2**64, 2**70))] + data.draw(vec(-(2**70), 2**70))[1:]
+    far = np.array(t2.tolist(), dtype=object) + np.array([2 * x for x in sub.from_sub_coords(u)])
+    assert np.abs(far).max() > sub.t2_bound
+    out = bulk_nearest2(sub, far)
+    assert out.dtype == object
+    assert [tuple(p) for p in out.tolist()] == [sub.nearest2(tuple(t)) for t in far.tolist()]
 
 
 def test_covering_radius_scaling():

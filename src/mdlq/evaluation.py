@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InadmissibleIndex, InvalidInput, MdlqError
 from .labeling import Labeling, build_labeling
-from .lattices import Lattice, fills_shells, get_lattice, sphere_second_moment
+from .lattices import Lattice, filled_shell, get_lattice, shell_prefix, sphere_second_moment
 from .sublattices import design_sublattice, find_params
 
 
@@ -123,20 +123,11 @@ def edge_histogram(labeling: Labeling):
 # ---------------------------------------------------------------------------
 
 
-def _shell_weight_sum(lat: Lattice, k: int) -> int:
-    """Exact sum of i * A_i for i <= k (= sum of squared norms over a ball)."""
-    if lat.dim == 1:
-        m = math.isqrt(k)
-        return m * (m + 1) * (2 * m + 1) // 3  # 2 * sum x^2
-    shells = lat.shells(k).A
-    return sum(i * ai for i, ai in enumerate(shells))
-
-
 def _representable_set(lat: Lattice, n_max: int):
     """All indices <= n_max admitting a similar sublattice (one-pass sieve)."""
     name = lat.name
     if name == "Z1":
-        return set(range(1, n_max + 1, 2))
+        return range(1, n_max + 1, 2)
     if name == "Z2":
         r = math.isqrt(n_max)
         vals = {
@@ -167,15 +158,8 @@ def admissible_asymptotic_indices(lat: Lattice, n_max: int):
     exactly; 2^L < N keeps the rate of the map N = 2^(L(aR+1)) positive."""
     if lat.dim == 1:
         return list(range(3, n_max + 1, 2))
-    s_values = set()
-    acc = 0
-    for a in lat.shells_covering(n_max).A:
-        acc += a
-        if acc > n_max:
-            break
-        s_values.add(acc)
-    rep = _representable_set(lat, n_max)
-    return sorted(n for n in s_values & rep if n > 2**lat.dim)
+    filled = set(shell_prefix(lat, n_max)[0]) & _representable_set(lat, n_max)
+    return sorted(n for n in filled if n > 2**lat.dim)
 
 
 def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0.0):
@@ -184,20 +168,28 @@ def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0
     For each N: the rate solves N = 2^(L(aR+1)), the scale follows from the
     rate-targeted formula, d~ = (1/4N) sum l^2 beta^2 uses the exact shell
     sums, and the reported ratio d~ * 2^(2R(1-a)) / 2^(2h) tends to the
-    sphere second moment G(S_L).
+    sphere second moment G(S_L).  One shell table serves the whole sweep.
     """
     if not 0 < a < 1:
         raise InvalidInput(f"exponent a must lie in (0, 1), got {a}")
     l = lat.dim
+    ns = list(n_sequence)
+    n_max = max([1, *ns])
+    representable = _representable_set(lat, n_max)
+    if l > 1:  # Z1's ball of N points spans norms up to N^2/4: closed forms below
+        running, weights = shell_prefix(lat, n_max)
     rows = []
-    for n in n_sequence:
-        find_params(lat, n)  # representability; raises otherwise
-        k = fills_shells(lat, n)
+    for n in ns:
+        if n not in representable:
+            find_params(lat, n)  # raises NoRepresentation with the reason
+        m = (n - 1) // 2  # Z1: N = 2m + 1 points fill the shells up to norm m^2
+        k = m * m if l == 1 else filled_shell(running, n)
         if k is None:
             raise InadmissibleIndex(f"N={n} does not fill shells exactly")
         if math.log2(n) / l <= 1.0:
             raise InadmissibleIndex(f"N={n} too small for the rate map N=2^(L(aR+1))")
-        sum_i_ai = _shell_weight_sum(lat, k)
+        # sum of i * A_i over the filled shells; for Z1, 2 * sum of x^2 over |x| <= m
+        sum_i_ai = m * (m + 1) * (2 * m + 1) // 3 if l == 1 else weights[k]
         rate = (math.log2(n) / l - 1.0) / a
         beta = rate_targeted_beta(lat, rate, a, h_bits)
         sum_l2 = sum_i_ai * n ** (2.0 / l) / l

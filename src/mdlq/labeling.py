@@ -41,7 +41,7 @@ from .errors import (
     SizeMismatch,
     ZeroEdge,
 )
-from .lattices import Lattice
+from .lattices import Lattice, get_lattice
 from .sublattices import SimilarSublattice, _imatvec, bulk_nearest2
 from .symmetry import SymmetryGroup, group_for, minus_identity_group
 
@@ -454,11 +454,11 @@ class Labeling:
                     raise PropertyCheckFailed("zero-edge", f"rep {rep} -> {edge}")
                 continue
             partner = _sub(_add(edge[0], edge[1]), rep)
-            if self.alpha_u(partner) != edge:
+            de_b = self.encode(partner)
+            if canonical_edge(*de_b) != edge:
                 raise PropertyCheckFailed(
                     "midpoint-sum", f"edge {edge} labels {rep} but not {partner}"
                 )
-            de_b = self.encode(partner)
             if partner != rep and de_b != de_a.reversed():
                 raise PropertyCheckFailed(
                     "orientation-pairing", f"{rep}:{de_a} vs {partner}:{de_b}"
@@ -486,17 +486,19 @@ class Labeling:
                 "reuse", f"vertex 0 labels {len(firsts)}/{len(seconds)} points, expected N"
             )
 
-        # Property 2: shift covariance on a deterministic sample.
+        # Property 2: shift covariance on a deterministic sample.  Every row
+        # is canonical by now, so the undirected label is that of the encoding.
         gens = [sub.from_sub_coords(u) for u in _unit_vectors(lat.dim)]
         reps = list(sub.voronoi_reps)
         for i in range(min(_SHIFT_SAMPLES, len(reps))):
             lam = reps[(i * 7919) % len(reps)]
+            rhs = self.alpha_u(lam)
             for s in gens:
-                lhs = self.alpha_u(_add(lam, s))
-                rhs = self.alpha_u(lam)
+                de = self.encode(_add(lam, s))
+                lhs = canonical_edge(*de)
                 if lhs != (_add(rhs[0], s), _add(rhs[1], s)):
                     raise PropertyCheckFailed("shift", f"lam={lam}, shift={s}")
-                if self.encode(_add(lam, s)) != direct_edge(lat, lhs, _add(lam, s)):
+                if de != direct_edge(lat, lhs, _add(lam, s)):
                     raise PropertyCheckFailed("direction", f"lam={lam}, shift={s}")
 
     # -- serialization -------------------------------------------------------------
@@ -599,29 +601,70 @@ def build_labeling(
     raise last_err
 
 
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true and 2.0 are not integers here
+
+
 def labeling_from_dict(data: dict) -> Labeling:
-    """Rebuild a labeling from its serialized design file (and re-verify)."""
+    """Rebuild a labeling from its serialized design file (and re-verify).
+
+    Every orbit-matching point is a coset representative, each point and
+    table rep appears once, and the stored orbit matching and table equal
+    those of the rebuild."""
     from .sublattices import design_sublattice
 
     if not isinstance(data, dict) or data.get("schema") != 1:
         schema = data.get("schema") if isinstance(data, dict) else None
         raise InvalidInput(f"unsupported design schema {schema!r}")
     try:
-        lat_name, index, params = data["lattice"], data["index"], tuple(data["params"])
-        group_order = data["group_order"]
-        anchors = {tuple(r["point"]): tuple(r["class"]) for r in data["orbit_matching"]}
-        stored = {tuple(r["rep"]): tuple(tuple(x) for x in r["edge"]) for r in data["table"]}
+        lat_name, index, params = data["lattice"], data["index"], data["params"]
+        group_order, matching, rows = data["group_order"], data["orbit_matching"], data["table"]
+    except KeyError as err:
+        raise InvalidInput(f"malformed design file: KeyError {err}") from None
+    if not (
+        isinstance(lat_name, str)
+        and _is_int(index)
+        and _is_int(group_order)
+        and isinstance(params, list)
+        and all(map(_is_int, params))
+    ):
+        raise InvalidInput(
+            "malformed design file: lattice must be a name, index, group_order and params integers"
+        )
+    try:
+        dim = get_lattice(lat_name).dim
+    except ValueError as err:
+        raise InvalidInput(f"malformed design file: {err}") from None
+
+    def point(v):
+        if not (isinstance(v, list) and len(v) == dim and all(map(_is_int, v))):
+            raise InvalidInput(f"malformed design file: {v!r} is not a point of {lat_name}")
+        return tuple(v)
+
+    try:
+        anchors = {point(r["point"]): point(r["class"]) for r in matching}
+        stored = {point(r["rep"]): tuple(map(point, r["edge"])) for r in rows}
     except (KeyError, TypeError) as err:
         raise InvalidInput(f"malformed design file: {type(err).__name__} {err}") from None
-    if not (isinstance(lat_name, str) and isinstance(index, int) and isinstance(group_order, int)):
-        raise InvalidInput(
-            "malformed design file: lattice must be a name, index and group_order integers"
-        )
+    # A dict keeps the last copy of a key, so a duplicate would go unchecked.
+    if len(anchors) != len(matching) or len(stored) != len(rows):
+        raise InvalidInput("malformed design file: an orbit_matching point or table rep repeats")
     sub = design_sublattice(lat_name, index=index, params=params)
-    group = next((g for g in _candidate_groups(sub) if g.order == group_order), None)
+    off = sorted(set(anchors) - set(sub.voronoi_reps))
+    if off:
+        raise InvalidInput(
+            f"malformed design file: orbit_matching point {off[0]} is not a coset representative"
+        )
+    groups = _candidate_groups(sub)
+    group = next((g for g in groups if g.order == group_order), None)
+    if group is None:
+        orders = [g.order for g in groups]
+        raise InvalidInput(f"group_order {group_order} is none of this design's groups {orders}")
     lab = build_labeling(sub, group=group, anchors=anchors)
-    if stored != {k: tuple(v) for k, v in lab.table.items()}:
-        raise PropertyCheckFailed("serialization", "stored table does not match rebuild")
+    if stored != lab.table or anchors != lab.anchors:
+        raise PropertyCheckFailed(
+            "serialization", "stored orbit matching or table does not match the rebuild"
+        )
     return lab
 
 

@@ -17,8 +17,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -233,21 +235,25 @@ def sphere_second_moment(dim: int) -> float:
     return math.exp((2.0 / dim) * math.lgamma(dim / 2.0 + 1.0)) / ((dim + 2) * math.pi)
 
 
+def shell_prefix(lat: Lattice, n: int):
+    """Running sums of the theta series of ``shells_covering(n)``, exact:
+    S[k] points and W[k] = sum_{i<=k} i * A_i of norm in the first k shells."""
+    a = lat.shells_covering(n).A
+    return list(accumulate(a)), list(accumulate(i * ai for i, ai in enumerate(a)))
+
+
+def filled_shell(running, n: int):
+    """The first K with running[K] == n, or None when the running counts skip n."""
+    k = bisect_left(running, n)
+    return k if k < len(running) and running[k] == n else None
+
+
 def fills_shells(lat: Lattice, n: int):
     """Return K if n equals the number of lattice points in the first K shells.
 
     Returns None when no such K exists; designs used in the asymptotic sweeps
     are restricted to indices with this property.
     """
-    if n < 1:
-        return None
-    if lat.dim == 1:
-        # S(m) = 2*floor(sqrt(m)) + 1: every odd n fills shells at K = m^2.
-        if n % 2 == 0:
-            return None
-        return ((n - 1) // 2) ** 2
-    total = 0
-    for i, a in enumerate(lat.shells_covering(n).A):
-        total += a
-        if total >= n:
-            return i if total == n else None
+    if lat.dim == 1:  # S(m) = 2*floor(sqrt(m)) + 1: every odd n fills shells at K = m^2.
+        return ((n - 1) // 2) ** 2 if n > 0 and n % 2 else None
+    return filled_shell(shell_prefix(lat, n)[0], n)

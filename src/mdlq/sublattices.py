@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InadmissibleIndex, NoRepresentation, NotSimilar
+from .errors import InadmissibleIndex, InvalidInput, NoRepresentation, NotSimilar
 from .lattices import Lattice, get_lattice
 
 
@@ -314,7 +314,10 @@ def build_sublattice(lat: Lattice, params) -> SimilarSublattice:
     """Construct and certify a similar sublattice from family parameters."""
     params = tuple(int(p) for p in params)
     _check_params(lat, params)
-    gt = _gtilde(lat, params)
+    try:
+        gt = _gtilde(lat, params)
+    except OverflowError:
+        raise InvalidInput(f"params {params} do not fit an int64 generator matrix") from None
     L = lat.dim
     # Certify Gt^T Gram Gt == c^2 Gram in exact integers.
     gram2 = lat.gram2.tolist()

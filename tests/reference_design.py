@@ -1,5 +1,6 @@
 """Test references: the hand-constructed labeling of the hexagonal N=31
-design and the exhaustive optimum of small designs.
+design, the exhaustive optimum of small designs, and the asymptotic sweep
+computed one index at a time.
 
 This is the classic worked assignment for the index-31 hexagonal design in
 the frame u = 5 - w (params (5, -1)): each orbit of the order-6 rotation
@@ -11,10 +12,13 @@ Anchor map: point-orbit representative -> class difference vector, both in
 lattice coordinates (x, y) for x + y*w.
 """
 
+import math
+import sys
 from fractions import Fraction
 from itertools import permutations
 
-from mdlq.errors import SizeMismatch
+from mdlq.errors import InadmissibleIndex, InvalidInput, SizeMismatch
+from mdlq.evaluation import analytic_d0, rate_targeted_beta
 from mdlq.labeling import (
     Labeling,
     _neg,
@@ -24,7 +28,8 @@ from mdlq.labeling import (
     closest_edge_in_class,
     ds_cost,
 )
-from mdlq.sublattices import SimilarSublattice, design_sublattice
+from mdlq.lattices import Lattice, sphere_second_moment
+from mdlq.sublattices import SimilarSublattice, design_sublattice, find_params
 
 # u = (5, -1), v = w*u = (1, 6)
 HAND_ANCHORS_A2_31 = {
@@ -70,3 +75,63 @@ def brute_force_min_cost(sub: SimilarSublattice) -> Fraction:
         if best is None or c < best:
             best = c
     return best
+
+
+def asymptotic_rows_per_index(lat: Lattice, n_sequence, a: float, h_bits: float = 0.0):
+    """The asymptotic sweep computed one index at a time: representability by
+    the parameter search, K from a theta series covering N, and the shell sum
+    over a second theta series up to K.  ``asymptotic_limit_check`` must give
+    the same rows and raise the same error at the same first bad N."""
+    if not 0 < a < 1:
+        raise InvalidInput(f"exponent a must lie in (0, 1), got {a}")
+    l = lat.dim
+    rows = []
+    for n in n_sequence:
+        find_params(lat, n)
+        k = None
+        if l == 1:
+            k = ((n - 1) // 2) ** 2 if n >= 1 and n % 2 else None
+        elif n >= 1:
+            total = 0
+            for i, ai in enumerate(lat.shells_covering(n).A):
+                total += ai
+                if total >= n:
+                    k = i if total == n else None
+                    break
+        if k is None:
+            raise InadmissibleIndex(f"N={n} does not fill shells exactly")
+        if math.log2(n) / l <= 1.0:
+            raise InadmissibleIndex(f"N={n} too small for the rate map N=2^(L(aR+1))")
+        if l == 1:
+            m = math.isqrt(k)
+            sum_i_ai = m * (m + 1) * (2 * m + 1) // 3
+        else:
+            sum_i_ai = sum(i * ai for i, ai in enumerate(lat.shells(k).A))
+        rate = (math.log2(n) / l - 1.0) / a
+        beta = rate_targeted_beta(lat, rate, a, h_bits)
+        sum_l2 = sum_i_ai * n ** (2.0 / l) / l
+        d_tilde = beta * beta * sum_l2 / (4.0 * n)
+        try:
+            d0 = analytic_d0(lat, beta)
+            ratio = d_tilde * 2.0 ** (2.0 * rate * (1.0 - a)) / 2.0 ** (2.0 * h_bits)
+            d0_norm = d0 * 2.0 ** (2.0 * rate * (1.0 + a)) * 4.0 / 2.0 ** (2.0 * h_bits)
+        except ArithmeticError:
+            d0 = ratio = d0_norm = math.nan
+        values = (beta * beta, d_tilde, d0, ratio, d0_norm)
+        if not all(sys.float_info.min <= v < math.inf for v in values):
+            raise InvalidInput(
+                f"entropy {h_bits} bits takes the N={n} row beyond the normal float range"
+            )
+        rows.append(
+            {
+                "N": n,
+                "K": k,
+                "R": rate,
+                "beta": beta,
+                "d_tilde": d_tilde,
+                "ratio": ratio,
+                "sphere_G": sphere_second_moment(l),
+                "d0_normalized": d0_norm,
+            }
+        )
+    return rows

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mdlq.cli import main
+from mdlq.errors import MdlqError
 
 
 def run(capsys, *argv):
@@ -321,6 +323,7 @@ def test_verify_names_the_failed_property(tmp_path, capsys):
         (["simulate", "--lattice", "A2", "--index", "7", "--source", "periods:inf"], "inf"),
         (["simulate", "--lattice", "A2", "--index", "7", "--source", "gauss:x"], "gauss:x"),
         (["design", "--lattice", "A2", "--params", "5,x"], "5,x"),
+        (["design", "--lattice", "Z1", "--params", str(10**22 + 1)], "int64"),
     ],
 )
 def test_malformed_source_or_params_is_invalid_input(capsys, argv, text):
@@ -338,3 +341,176 @@ def test_asymptotic_entropy_beyond_float_range_rejected(capsys, entropy):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("InvalidInput: entropy") and out == ""
+
+
+@pytest.fixture(scope="module")
+def a2_31_design(tmp_path_factory):
+    path = tmp_path_factory.mktemp("design") / "a2_31.json"
+    assert main(["design", "--lattice", "A2", "--index", "31", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _verify(tmp_path, capsys, doc):
+    """Run ``mdlq verify`` on a design given as a dict or as JSON text."""
+    path = tmp_path / "d.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return run(capsys, "verify", "--design", str(path))
+
+
+def _wrong_row_then_right(doc):
+    right = next(r for r in doc["table"] if r["rep"] == [-2, 0])
+    wrong = {"rep": [-2, 0], "edge": [[e[0] + 1, e[1]] for e in right["edge"]]}
+    doc["table"].insert(doc["table"].index(right), wrong)
+
+
+@pytest.mark.parametrize(
+    "mutate,text",
+    [
+        (_wrong_row_then_right, "repeats"),
+        (lambda d: d["orbit_matching"].append(dict(d["orbit_matching"][0])), "repeats"),
+        (lambda d: d.update(group_order=5), "group_order 5"),
+        (lambda d: d.update(lattice="Q7"), "Q7"),
+        (lambda d: d.update(params=[1, "x"]), "integers"),
+    ],
+    ids=["duplicate-rep", "duplicate-anchor", "group-order-5", "lattice-Q7", "params-x"],
+)
+def test_verify_rejects_duplicates_and_bad_header(tmp_path, capsys, a2_31_design, mutate, text):
+    # A rebuild from dicts keeps only the last copy of a rep or an anchor
+    # point, and an unknown group order would fall back to a default group.
+    doc = json.loads(json.dumps(a2_31_design))
+    mutate(doc)
+    code, out, err = _verify(tmp_path, capsys, doc)
+    assert code == 1 and out == ""
+    assert err.startswith("InvalidInput:") and text in err
+
+
+def test_verify_rejects_a_negated_anchor_class(tmp_path, capsys, a2_31_design):
+    # -k names the same edge class as k, so the rebuilt table is unchanged,
+    # but the file no longer holds the canonical class key.
+    doc = json.loads(json.dumps(a2_31_design))
+    anchor = doc["orbit_matching"][0]
+    anchor["class"] = [-x for x in anchor["class"]]
+    code, out, err = _verify(tmp_path, capsys, doc)
+    assert code == 1 and out == ""
+    assert err.startswith("PropertyCheckFailed:") and "serialization" in err
+
+
+def test_verify_checks_the_whole_cost_summary(tmp_path, capsys, a2_31_design):
+    doc = json.loads(json.dumps(a2_31_design))
+    doc["cost_summary"]["total"] = -doc["cost_summary"]["total"]
+    code, out, _ = _verify(tmp_path, capsys, doc)
+    assert code == 1 and "cost-summary: FAIL" in out and out.count("PASS") == 3
+
+
+def test_verify_rejects_a_file_that_is_not_json(tmp_path, capsys, a2_31_design):
+    code, out, err = _verify(tmp_path, capsys, json.dumps(a2_31_design)[:-1])
+    assert code == 1 and out == ""
+    assert err.startswith("InvalidInput:") and "not JSON" in err
+
+
+def _named_errors(cls=MdlqError):
+    return {cls.__name__}.union(*(_named_errors(c) for c in cls.__subclasses__()))
+
+
+def _canon(doc):
+    """JSON text of the design a file describes: rows and anchors in sorted
+    order, so that 2.0, true and "2" differ from 2 but -0 does not."""
+    doc = dict(doc)
+    for key in ("table", "orbit_matching"):
+        if isinstance(doc.get(key), list):
+            doc[key] = sorted(json.dumps(r, sort_keys=True) for r in doc[key])
+    return json.dumps(doc, sort_keys=True)
+
+
+_NEG0 = "negative zero"  # written as the literal -0
+
+
+def _int_leaves(node, path=()):
+    if isinstance(node, list):
+        for i, x in enumerate(node):
+            yield from _int_leaves(x, (*path, i))
+    elif isinstance(node, dict):
+        for k, x in node.items():
+            yield from _int_leaves(x, (*path, k))
+    elif type(node) is int:
+        yield path
+
+
+_BAD_HEADERS = {
+    "schema": [2],
+    "lattice": ["Q7", "Z2", "Z1", 5, None],
+    "index": [29, 33, 31.0, "31", True, -31],
+    "params": [[6, 1], [1], [1, 6, 0], [1, "x"], [1.0, 6], "1,6", [10**30, 1]],
+    "group_order": [5, 2, 0, 6.0, "6", None],
+}
+
+
+def _mutate(doc, kind, rng):
+    """Apply one seeded edit of the given kind to the fields a rebuild reads."""
+    keys = ("params", "orbit_matching", "table")
+    leaves = [p for key in keys for p in _int_leaves(doc[key], (key,))]
+
+    def at(path):
+        node = doc
+        for k in path[:-1]:
+            node = node[k]
+        return node, path[-1]
+
+    table, anchors = doc["table"], doc["orbit_matching"]
+    if kind == "flip a sign":
+        zeros = [p for p in leaves if at(p)[0][p[-1]] == 0]
+        node, k = at(rng.choice(zeros if rng.random() < 0.25 else leaves))
+        node[k] = -node[k] if node[k] else _NEG0
+    elif kind == "move an anchor":
+        rng.choice(anchors)["point"][rng.randrange(2)] += rng.choice([-1, 1])
+    elif kind == "change a row entry":
+        row = rng.choice(table)
+        rng.choice([row["rep"], *row["edge"]])[rng.randrange(2)] += rng.choice([-1, 1])
+    elif kind == "swap two rows":
+        i, j = rng.sample(range(len(table)), 2)
+        table[i], table[j] = table[j], table[i]
+    elif kind == "drop a row":
+        del table[rng.randrange(len(table))]
+    elif kind == "duplicate a row":
+        row = json.loads(json.dumps(rng.choice(table)))
+        if rng.random() < 0.5:
+            row["edge"][0][0] += 1
+        table.insert(rng.randrange(len(table) + 1), row)
+    elif kind == "a wrong type":
+        node, k = at(rng.choice(leaves + [p[:-1] for p in leaves]))
+        node[k] = rng.choice(["1", 1.5, 2.0, True, None, [], {}])
+    else:  # a bad header field
+        key = rng.choice(sorted(_BAD_HEADERS))
+        doc[key] = rng.choice(_BAD_HEADERS[key])
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "flip a sign",
+        "move an anchor",
+        "change a row entry",
+        "swap two rows",
+        "drop a row",
+        "duplicate a row",
+        "a wrong type",
+        "a bad header field",
+    ],
+)
+def test_verify_fuzz_ends_in_pass_or_a_named_error(tmp_path, capsys, a2_31_design, kind):
+    # Exit 0 with four PASS lines only where the file still describes the same
+    # design (-0 for 0, rows in another order); otherwise exit 1 with the name
+    # of a package error, never a bare exception or a silent pass.
+    rng = random.Random(kind)
+    named = _named_errors()
+    for trial in range(16):
+        doc = json.loads(json.dumps(a2_31_design))
+        _mutate(doc, kind, rng)
+        text = json.dumps(doc).replace(json.dumps(_NEG0), "-0")
+        code, out, err = _verify(tmp_path, capsys, text)
+        what = f"{kind} #{trial}: exit {code}, {err.strip()!r}"
+        if _canon(json.loads(text)) == _canon(a2_31_design):
+            assert code == 0 and out.count("PASS") == 4 and err == "", what
+        else:
+            assert code == 1 and out == "", what
+            assert err.split(":")[0] in named, what

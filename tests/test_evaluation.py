@@ -1,9 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from mdlq.errors import InadmissibleIndex, InvalidInput, NoRepresentation
+from mdlq.errors import InadmissibleIndex, InvalidInput, MdlqError, NoRepresentation
 from mdlq.evaluation import (
     admissible_asymptotic_indices,
     admissible_design_indices,
@@ -17,6 +18,7 @@ from mdlq.evaluation import (
 from mdlq.lattices import get_lattice, sphere_second_moment
 
 from .conftest import design
+from .reference_design import asymptotic_rows_per_index
 
 
 # -- rates -----------------------------------------------------------------------
@@ -137,6 +139,42 @@ def test_asymptotic_rejects_bad_indices(a2, z1):
         asymptotic_limit_check(z1, [1], 0.5)  # too small for the rate map
     with pytest.raises(InvalidInput):
         asymptotic_limit_check(z1, [9], 1.5)
+
+
+def _outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except MdlqError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name,n_max", [("A2", 3000), ("Z2", 3000), ("Z1", 9999)])
+def test_asymptotic_rows_equal_the_per_index_reference(name, n_max):
+    lat = get_lattice(name)
+    ns = admissible_asymptotic_indices(lat, n_max)
+    assert asymptotic_limit_check(lat, ns, 0.5) == asymptotic_rows_per_index(lat, ns, 0.5)
+    rng = random.Random(n_max)
+    for _ in range(20):
+        sub = rng.sample(ns, rng.randint(1, 12))
+        a, h = rng.choice([0.3, 0.5, 0.7]), rng.choice([0.0, 2.5, -3.0])
+        assert asymptotic_limit_check(lat, sub, a, h) == asymptotic_rows_per_index(lat, sub, a, h)
+
+
+@pytest.mark.parametrize("name", ["A2", "Z2", "Z1"])
+def test_asymptotic_errors_match_the_per_index_reference(name):
+    # Good and bad indices mixed: not representable, not filling shells, too
+    # small for the rate map, non-positive; and entropies past the float range.
+    lat = get_lattice(name)
+    rng = random.Random(name)
+    kinds = set()
+    for _ in range(300):
+        seq = [rng.randint(-3, 200) for _ in range(rng.randint(0, 6))]
+        a, h = rng.choice([0.3, 0.5]), rng.choice([0.0, 2.5, -530.0, 600.0])
+        got = _outcome(asymptotic_limit_check, lat, seq, a, h)
+        assert got == _outcome(asymptotic_rows_per_index, lat, seq, a, h)
+        kinds.add(got[0] if isinstance(got, tuple) else list)
+    assert {list, NoRepresentation, InadmissibleIndex, InvalidInput} <= kinds
+    assert asymptotic_limit_check(lat, [], 0.5) == []
 
 
 # -- figures ---------------------------------------------------------------------

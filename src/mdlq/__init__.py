@@ -21,16 +21,14 @@ from .labeling import (
     Labeling,
     base_edge_set,
     build_labeling,
-    closest_edge_in_class,
     color,
     direct_edge,
     labeling_from_dict,
     optimal_class_matching,
-    select_point,
 )
 from .lattices import Lattice, ThetaShells, fills_shells, get_lattice, sphere_second_moment
 from .sublattices import SimilarSublattice, build_sublattice, design_sublattice, find_params
-from .symmetry import SymmetryGroup, group_for, orbits
+from .symmetry import SymmetryGroup, group_for
 
 __version__ = "0.1.0"
 
@@ -51,7 +49,6 @@ __all__ = [
     "bound_sandwich",
     "build_labeling",
     "build_sublattice",
-    "closest_edge_in_class",
     "color",
     "design_report",
     "design_sublattice",
@@ -65,9 +62,7 @@ __all__ = [
     "group_for",
     "labeling_from_dict",
     "optimal_class_matching",
-    "orbits",
     "reconstruct",
-    "select_point",
     "simulate",
     "sphere_second_moment",
 ]

@@ -1,10 +1,10 @@
 """Exact minimum-cost bipartite assignment (Hungarian algorithm).
 
 Runs on exact integers so that optimality comparisons in the labeling
-construction are never subject to float noise: rational costs are scaled by
-the lcm of their denominators first.  This is the O(n^3) shortest augmenting
-path method with row/column potentials (Jonker & Volgenant, Computing 1987;
-Crouse, IEEE TAES 2016); each row step is a handful of numpy vector ops.
+construction are never subject to float noise.  This is the O(n^3)
+shortest augmenting path method with row/column potentials (Jonker &
+Volgenant, Computing 1987; Crouse, IEEE TAES 2016); each row step is a
+handful of numpy vector ops.
 The orbit matrices of the labeling construction reach 90 rows (Z2 N=181)
 and 150 rows (Z1 N=301).  It is deterministic for a fixed input order:
 ties go to the first minimal column.
@@ -12,8 +12,7 @@ ties go to the first minimal column.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+import numbers
 
 import numpy as np
 
@@ -21,7 +20,7 @@ import numpy as np
 def min_cost_assignment(cost):
     """Solve the square assignment problem exactly.
 
-    ``cost`` is an n x n matrix (sequence of sequences) of ints or Fractions.
+    ``cost`` is an n x n matrix (sequence of sequences) of ints.
     Returns ``(cols, total)`` where ``cols[i]`` is the column assigned to row
     ``i`` and ``total`` is the exact optimal cost.
     """
@@ -30,17 +29,17 @@ def min_cost_assignment(cost):
         return [], 0
     if any(len(row) != n for row in cost):
         raise ValueError("cost matrix must be square")
-    exact = [[Fraction(c) for c in row] for row in cost]
-    scale = math.lcm(*(c.denominator for row in exact for c in row))
-    scaled = [[0] + [c.numerator * (scale // c.denominator) for c in row] for row in exact]
-    inf = sum(abs(c) for row in scaled for c in row) + 1
+    inf = sum(abs(c) for row in cost for c in row) + 1
+    if not isinstance(inf, numbers.Integral):  # int64 storage would truncate
+        raise TypeError(f"costs must be integers, got a sum of type {type(inf).__name__}")
     # Free columns keep v = 0, so with M = max|c| < inf the potentials of the
     # rows and real columns lie in [-3M, 2M] and their reduced costs in
     # [-3M, 4M]; the dummy column's |v| is a partial optimum, below inf.  Every
     # value fits int64 while 4 * inf < 2**63; beyond it the same code runs on
     # Python ints.
     dtype = np.int64 if 4 * inf < 2**63 else object
-    c = np.array(scaled, dtype=dtype)  # column 0 is the dummy start column
+    c = np.zeros((n, n + 1), dtype=dtype)  # column 0 is the dummy start column
+    c[:, 1:] = cost
 
     u = np.zeros(n + 1, dtype=dtype)
     v = np.zeros(n + 1, dtype=dtype)

@@ -59,6 +59,15 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``; text that is not JSON is InvalidInput."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:
+            raise InvalidInput(f"{what} {path} is not JSON: {err}") from None
+
+
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse flags; a JSON ``--config`` file supplies further flags.
 
@@ -69,8 +78,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as fh:
-        config = json.load(fh)
+    config = _read_json(args.config, "config file")
     if not isinstance(config, dict):
         raise InvalidInput(f"config file {args.config} must hold a JSON object")
     flags = []
@@ -194,11 +202,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.design) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as err:
-            raise InvalidInput(f"design file {args.design} is not JSON: {err}") from None
+    doc = _read_json(args.design, "design file")
     # The rebuild verifies the properties; a failure raises PropertyCheckFailed.
     lab = labeling_from_dict(doc)
     checks = [("properties-1-2-3", True)]

@@ -117,9 +117,11 @@ def source_entropy_bits(source: SourceSpec, design: ScaledDesign) -> float:
 def encode_vector(design: ScaledDesign, x) -> DirectedEdge:
     """Quantize a real vector and return its directed label (integer coords
     of the scaled sublattice points)."""
-    t = [c / design.beta for c in x]
-    lam = design.lattice.nearest_point(t)
-    return design.labeling.encode(lam)
+    t = np.array([x], dtype=float) / design.beta
+    # Lattice-frame coordinates are at most twice the embedded ones.
+    if t.shape != (1, design.dim) or not np.abs(t).max() < 2.0**61:
+        raise InvalidInput(f"x must be {design.dim} numbers with finite |x/beta| < 2^61, got {x!r}")
+    return design.labeling.encode(bulk_nearest(design.lattice, t)[0].tolist())
 
 
 def reconstruct(design: ScaledDesign, received: str, payload):
@@ -140,30 +142,31 @@ def reconstruct(design: ScaledDesign, received: str, payload):
 
 
 def bulk_nearest(lat: Lattice, x: np.ndarray) -> np.ndarray:
-    """Nearest-lattice-point coordinates for an (n, L) array of reals."""
+    """Nearest-lattice-point coordinates for an (n, L) array of reals; ties go
+    to the lexicographically smallest coordinate vector.
+
+    The cubic lattices round each coordinate half down.  On A2 the nearest
+    point is a corner of the floor cell in lattice coordinates: the cell's
+    short diagonal cuts it into two equilateral triangles, and every point of
+    a triangle is nearest to one of its corners (Conway & Sloane, IEEE Trans.
+    IT-28, 1982).  The 4 corners are compared with offsets in lexicographic
+    order, so the first strict minimum is the lex smallest nearest point.
+    """
     if lat.name != "A2":
         return np.ceil(x - 0.5).astype(np.int64)
     t1 = x[:, 0] + x[:, 1] / _SQRT3
     t2 = 2.0 * x[:, 1] / _SQRT3
-    f1 = np.floor(t1).astype(np.int64)
-    f2 = np.floor(t2).astype(np.int64)
-    best_d = None
-    best = None
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            u1 = f1 + i
-            u2 = f2 + j
-            d1 = u1 - t1
-            d2 = u2 - t2
-            d = d1 * d1 + d2 * d2 - d1 * d2
-            if best is None:
-                best_d, best = d, (u1.copy(), u2.copy())
-            else:
-                upd = d < best_d
-                best_d = np.where(upd, d, best_d)
-                best[0][upd] = u1[upd]
-                best[1][upd] = u2[upd]
-    return np.stack(best, axis=1)
+    f1, f2 = np.floor(t1), np.floor(t2)
+    best = np.full(len(x), np.inf)
+    pick = np.zeros(len(x), dtype=np.intp)
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        d1, d2 = f1 + i - t1, f2 + j - t2
+        d = d1 * d1 + d2 * d2 - d1 * d2
+        upd = d < best
+        best[upd] = d[upd]
+        pick[upd] = k
+    # Offset k is (k >> 1, k & 1).
+    return np.stack([f1.astype(np.int64) + (pick >> 1), f2.astype(np.int64) + (pick & 1)], axis=1)
 
 
 def bulk_coset_reduce(sub, lam: np.ndarray):

@@ -6,8 +6,8 @@ Construction pipeline (all exact integer / rational arithmetic):
 
 1. ``base_edge_set``     -- the N shortest undirected sublattice edges with
                             one endpoint at the origin.
-2. ``closest_edge_in_class`` -- relocate an edge class so its midpoint is as
-                            close as possible to the point being labeled.
+2. ``_relocate``          -- relocate edge classes so their midpoints are as
+                            close as possible to the points being labeled.
 3. ``optimal_class_matching`` -- group-reduced exact min-cost assignment of
                             discrete-Voronoi cosets to edge classes.
 4. color / direction rules -- turn the undirected label into a directed one
@@ -84,7 +84,7 @@ def class_key(delta):
 
 
 # ---------------------------------------------------------------------------
-# color, direction and point-selection rules
+# color and direction rules
 # ---------------------------------------------------------------------------
 
 
@@ -165,32 +165,9 @@ def _row(lat: Lattice, rep, edge) -> Row:
     return Row(a, b, j, step, a[j] + b[j] + (step if _orientation_sign(lat, edge, rep) < 0 else 0))
 
 
-def select_point(lat: Lattice, de: DirectedEdge, candidate, c: int | None = None):
-    """Inverse of the direction rule: pick the labeled point from a candidate
-    pair {candidate, 2*mu - candidate} consistent with the edge orientation."""
-    de = DirectedEdge(*de)
-    a, b = de
-    if a == b:
-        return candidate
-    if c is None:
-        c = color(lat, (a, b))
-    mirror = _sub(_add(a, b), candidate)
-    if direct_edge(lat, (a, b), candidate, c) == de:
-        return candidate
-    if direct_edge(lat, (a, b), mirror, c) == de:
-        return mirror
-    raise NotALabel(f"{de} labels neither {candidate} nor {mirror}")
-
-
 # ---------------------------------------------------------------------------
 # edge set and relocation
 # ---------------------------------------------------------------------------
-
-
-def ds_cost(lat: Lattice, lam, edge) -> Fraction:
-    """Side distortion d_s(lam, edge) = (||lam-a||^2 + ||lam-b||^2)/2, exact."""
-    a, b = edge
-    return Fraction(lat.qshell(_sub(lam, a)) + lat.qshell(_sub(lam, b)), 2 * lat.dim)
 
 
 def base_edge_set(sub: SimilarSublattice):
@@ -238,24 +215,14 @@ def base_edge_set(sub: SimilarSublattice):
     return endpoints, hist, kmax
 
 
-def closest_edge_in_class(sub: SimilarSublattice, lam, delta):
-    """Relocate the class with difference ``delta`` closest to ``lam``.
-
-    The optimal shift places the midpoint at the sublattice point nearest to
-    lam - delta/2; the result does not depend on the sign of delta.
-    """
-    if not any(delta):
-        vp, _ = sub.coset_reduce(lam)
-        return (vp, vp)
-    t2 = tuple(2 * x - d for x, d in zip(lam, delta))
-    w = sub.nearest2(t2)
-    return canonical_edge(w, _add(w, delta))
-
-
 def _relocate(sub: SimilarSublattice, lam: np.ndarray, delta: np.ndarray):
-    """``closest_edge_in_class`` on the rows of (n, L) arrays (``lam`` may be
-    one row): the near endpoints w, so each edge is {w, w + delta}, and
-    2L * d_s of each row."""
+    """Relocate the class with difference ``delta`` closest to ``lam``, on the
+    rows of (n, L) arrays (``lam`` may be one row).
+
+    The optimal shift puts the midpoint at the sublattice point nearest to
+    lam - delta/2, whatever the sign of delta.  Returns the near endpoints w,
+    so each edge is {w, w + delta}, and 2L * d_s of each row, where
+    d_s(lam, {a, b}) = (||lam - a||^2 + ||lam - b||^2) / 2."""
     w = bulk_nearest2(sub, 2 * lam - delta)
     d = np.concatenate([lam - w, lam - w - delta])
     if np.abs(d).max(initial=0) >= 2**27:  # keep the squared lengths exact

@@ -30,7 +30,7 @@ LATTICE_NAMES = ("Z1", "Z2", "Z4", "Z8", "A2")
 
 _SQRT3 = math.sqrt(3.0)
 
-# Largest enumeration (grid points or convolution steps) shells() will run.
+# Largest enumeration (grid points or shift-add steps) shells() will run.
 _SHELL_CAP = 20_000_000
 
 
@@ -72,50 +72,6 @@ class Lattice:
         """Map lattice coordinates to a point of R^L."""
         return self.basis @ np.asarray(u, dtype=float)
 
-    # -- nearest point -------------------------------------------------------
-
-    def nearest_point(self, x) -> tuple:
-        """Closest lattice point to the real vector ``x`` (embedded coords).
-
-        Ties are broken toward the lexicographically smallest coordinate
-        vector.  Exact for inputs whose lattice-frame coordinates are
-        representable in floating point (e.g. midpoints of lattice points).
-        """
-        x = [float(c) for c in x]
-        if self.name == "A2":
-            y1 = x[0] + x[1] / _SQRT3
-            y2 = 2.0 * x[1] / _SQRT3
-            t = (y1, y2)
-        else:
-            t = x
-        return self.nearest_point_frame(t)
-
-    def nearest_point_frame(self, t) -> tuple:
-        """Closest lattice point to ``t`` given in lattice-frame coordinates.
-
-        Accepts floats or exact rationals; arithmetic stays exact for exact
-        inputs so the tie rule is reliable on cell boundaries.
-        """
-        if self.name == "A2":
-            f1, f2 = math.floor(t[0]), math.floor(t[1])
-            cands = [(f1 + i, f2 + j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-            best = None
-            for u in cands:
-                d1, d2 = u[0] - t[0], u[1] - t[1]
-                dist = d1 * d1 + d2 * d2 - d1 * d2
-                key = (dist, u)
-                if best is None or key < best:
-                    best = key
-            return best[1]
-        # Cubic lattices: separable, so per-coordinate rounding with
-        # round-half-down realizes the lexicographic tie rule.
-        out = []
-        for c in t:
-            fl = math.floor(c)
-            fr = c - fl
-            out.append(fl + 1 if 2 * fr > 1 else fl)
-        return tuple(out)
-
     # -- theta shells ---------------------------------------------------------
 
     def shells(self, max_norm: int) -> "ThetaShells":
@@ -135,17 +91,22 @@ class Lattice:
             np.add.at(counts, q[sel], 1)
         else:
             # Separable exact count: the L-fold coordinate enumeration
-            # factorizes into an L-fold convolution of the 1-D counts.
-            work = (self.dim - 1) * (max_norm + 1) ** 2 + max_norm + 1
+            # factorizes into an L-fold convolution of the 1-D counts, whose
+            # only nonzero entries sit at the squares x^2 <= max_norm.  Each
+            # convolution shift-adds the counts once per square.
+            squares = [x * x for x in range(math.isqrt(max_norm) + 1)]
+            work = (self.dim - 1) * len(squares) * (max_norm + 1) + max_norm + 1
             if work > _SHELL_CAP:
                 raise ResourceLimit("shell enumeration exceeds cap")
             base = np.zeros(max_norm + 1, dtype=np.int64)
+            base[squares] = 2
             base[0] = 1
-            for x in range(1, math.isqrt(max_norm) + 1):
-                base[x * x] = 2
             counts = base
             for _ in range(self.dim - 1):
-                counts = np.convolve(counts, base)[: max_norm + 1]
+                conv = counts.copy()
+                for s in squares[1:]:
+                    conv[s:] += 2 * counts[: max_norm + 1 - s]
+                counts = conv
         return ThetaShells(tuple(int(c) for c in counts))
 
     def shells_covering(self, n: int) -> "ThetaShells":

@@ -179,10 +179,6 @@ class SimilarSublattice:
     def from_sub_coords(self, u):
         return _imatvec(self.gtilde.tolist(), u)
 
-    def coset_key(self, v):
-        """Complete invariant of the coset of v (tuple of residues mod N)."""
-        return tuple(x % self.index for x in _imatvec(self.adjugate, v))
-
     # -- nearest sublattice point ---------------------------------------------
 
     def nearest2(self, t2):

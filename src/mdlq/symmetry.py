@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import GroupPropertyViolation
 from .lattices import Lattice
-from .sublattices import SimilarSublattice, _imatmul, _imatvec, z8_gamma_matrices
+from .sublattices import SimilarSublattice, _imatmul, z8_gamma_matrices
 
 
 def _idet(m) -> int:
@@ -165,35 +165,3 @@ def minus_identity_group(lat: Lattice) -> SymmetryGroup:
     """The fallback group {I, -I}, valid for every lattice."""
     ident = _identity(lat.dim)
     return SymmetryGroup(lat, tuple(sorted([ident, _negated(ident)])))
-
-
-def orbits(group: SymmetryGroup, items):
-    """Partition points or undirected edges into orbits under the group.
-
-    Edges are unordered endpoint pairs; the action applies the matrix to both
-    endpoints.  Orbit representatives are lexicographically smallest; the
-    returned list is sorted by representative.
-    """
-    items = list(items)
-    if not items:
-        return []
-    is_edge = isinstance(items[0][0], tuple)
-
-    def act(g, it):
-        if is_edge:
-            a = _imatvec(g, it[0])
-            b = _imatvec(g, it[1])
-            return (a, b) if a <= b else (b, a)
-        return _imatvec(g, it)
-
-    pending = set(items)
-    out = []
-    for it in sorted(items):
-        if it not in pending:
-            continue
-        orb = {act(g, it) for g in group.elements}
-        if not orb <= pending:
-            raise GroupPropertyViolation("orbit closure", f"orbit of {it} leaves the item set")
-        pending -= orb
-        out.append(tuple(sorted(orb)))
-    return out

@@ -1,6 +1,7 @@
 """Test references: the hand-constructed labeling of the hexagonal N=31
-design, the exhaustive optimum of small designs, and the asymptotic sweep
-computed one index at a time.
+design, the scalar side distortion and edge relocation, the exhaustive
+optimum of small designs, and the asymptotic sweep computed one index at a
+time.
 
 This is the classic worked assignment for the index-31 hexagonal design in
 the frame u = 5 - w (params (5, -1)): each orbit of the order-6 rotation
@@ -21,12 +22,13 @@ from mdlq.errors import InadmissibleIndex, InvalidInput, SizeMismatch
 from mdlq.evaluation import analytic_d0, rate_targeted_beta
 from mdlq.labeling import (
     Labeling,
+    _add,
     _neg,
+    _sub,
     base_edge_set,
     build_labeling,
+    canonical_edge,
     class_key,
-    closest_edge_in_class,
-    ds_cost,
 )
 from mdlq.lattices import Lattice, sphere_second_moment
 from mdlq.sublattices import SimilarSublattice, design_sublattice, find_params
@@ -48,6 +50,28 @@ def hand_labeling_a2_31() -> Labeling:
     lab = build_labeling(sub, anchors=HAND_ANCHORS_A2_31)
     assert lab.cost_total == HAND_COST_A2_31
     return lab
+
+
+def ds_cost(lat: Lattice, lam, edge) -> Fraction:
+    """Side distortion d_s(lam, edge) = (||lam-a||^2 + ||lam-b||^2)/2, exact."""
+    a, b = edge
+    return Fraction(lat.qshell(_sub(lam, a)) + lat.qshell(_sub(lam, b)), 2 * lat.dim)
+
+
+def closest_edge_in_class(sub: SimilarSublattice, lam, delta):
+    """Relocate the class with difference ``delta`` closest to ``lam``, one
+    point at a time with the scalar ``nearest2``: the oracle of the bulk
+    ``mdlq.labeling._relocate``.
+
+    The optimal shift places the midpoint at the sublattice point nearest to
+    lam - delta/2; the result does not depend on the sign of delta.
+    """
+    if not any(delta):
+        vp, _ = sub.coset_reduce(lam)
+        return (vp, vp)
+    t2 = tuple(2 * x - d for x, d in zip(lam, delta))
+    w = sub.nearest2(t2)
+    return canonical_edge(w, _add(w, delta))
 
 
 def brute_force_min_cost(sub: SimilarSublattice) -> Fraction:

@@ -155,6 +155,15 @@ def test_eval_asymptotic(capsys):
     assert out.splitlines()[0].startswith("N,K,R,beta")
 
 
+def test_eval_asymptotic_z2_sweep_past_12853(capsys):
+    # The shell table for N > 12 853 reaches norm 8 192, which the dense
+    # convolution of the 1-D counts could not afford.
+    code, out, err = run(capsys, "eval", "--asymptotic", "Z2", "--n-max", "13000")
+    assert code == 0, err
+    last = out.strip().splitlines()[-1].split(",")
+    assert int(last[0]) > 12853
+
+
 def test_eval_design_report(capsys):
     code, out, err = run(capsys, "eval", "--lattice", "A2", "--index", "7", "--beta", "0.5")
     assert code == 0
@@ -199,6 +208,14 @@ def test_config_values_are_checked(tmp_path, capsys, config, name):
     code, out, err = run(capsys, "design", "--config", str(cfg), "--out", str(tmp_path / "d.json"))
     assert code == 1
     assert err.startswith(name + ":")
+
+
+def test_config_file_that_is_not_json_is_invalid_input(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lattice": "A2", "ind')  # truncated
+    code, out, err = run(capsys, "design", "--config", str(cfg), "--out", str(tmp_path / "d.json"))
+    assert code == 1
+    assert err.startswith("InvalidInput: config file") and "is not JSON" in err
 
 
 def test_config_string_number_is_coerced(tmp_path, capsys):

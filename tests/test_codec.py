@@ -1,5 +1,7 @@
 import functools
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from mdlq.lattices import get_lattice
 
 from .conftest import design
 from .reference_design import hand_labeling_a2_31
+
+SQRT3 = math.sqrt(3.0)
 
 
 def test_source_spec_parsing():
@@ -71,8 +75,88 @@ def test_round_trip_through_codec(lab31):
     for x in xs:
         de = encode_vector(d, x)
         y = reconstruct(d, "both", de)
-        lam = lat.nearest_point(x / 0.31)
+        lam = _nearest(lat, x / 0.31)
         np.testing.assert_allclose(y, 0.31 * lat.embed(lam), atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "x", [(float("nan"), 0.0), (0.0, -float("inf")), (1e300, 0.0), (0.4,), (0.2, 0.3, 5.0)]
+)
+def test_encode_vector_rejects_bad_input(lab31, x):
+    with pytest.raises(InvalidInput):
+        encode_vector(ScaledDesign(lab31, beta=1.0), x)
+
+
+# -- nearest lattice point ------------------------------------------------------------
+
+
+def _nearest(lat, x):
+    return tuple(bulk_nearest(lat, np.array([x], dtype=float))[0].tolist())
+
+
+def test_nearest_inside_unit_cell(z2):
+    assert _nearest(z2, (0.4, -0.4)) == (0, 0)
+
+
+def test_nearest_perturbed_lattice_point(a2):
+    x = a2.embed((1, 1)) + np.array([0.01, 0.01])
+    assert _nearest(a2, x) == (1, 1)
+
+
+def test_nearest_midpoint_tie_breaks_lexicographically(a2):
+    # Midpoint of the lattice points 0 and 1: a genuine tie, resolved toward
+    # the lexicographically smaller coordinate vector.
+    assert _nearest(a2, (0.5, 0.0)) == (0, 0)
+
+
+def test_nearest_half_integer_ties_cubic(z1, z2):
+    assert _nearest(z1, (0.5,)) == (0,)
+    assert _nearest(z1, (-0.5,)) == (-1,)
+    assert _nearest(z2, (1.5, -2.5)) == (1, -3)
+
+
+def _brute_nearest(lat, xs):
+    # Oracle: exhaustive search over a generous box of coordinate vectors
+    # around each row, in lexicographic order, so that the first strict
+    # minimum of the rounded distance is the lex smallest nearest point.
+    if lat.name == "A2":
+        t = np.stack([xs[:, 0] + xs[:, 1] / SQRT3, 2.0 * xs[:, 1] / SQRT3], axis=1)
+    else:
+        t = xs
+    base = np.floor(t).astype(np.int64)
+    best_d = np.full(len(xs), np.inf)
+    best = base.copy()
+    for off in itertools.product(range(-3, 5), repeat=lat.dim):
+        u = base + off
+        d = np.round((((u @ lat.basis.T) - xs) ** 2).sum(axis=1), 12)
+        upd = d < best_d
+        best_d[upd] = d[upd]
+        best[upd] = u[upd]
+    return best
+
+
+@pytest.mark.parametrize("name", ["A2", "Z2", "Z1"])
+def test_quantizer_matches_brute_force(name):
+    lat = get_lattice(name)
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-8, 8, size=(10_000, lat.dim))
+    np.testing.assert_array_equal(bulk_nearest(lat, xs), _brute_nearest(lat, xs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    x=st.floats(min_value=-30, max_value=30, allow_nan=False),
+    y=st.floats(min_value=-30, max_value=30, allow_nan=False),
+)
+def test_nearest_is_no_farther_than_any_neighbor(x, y):
+    lat = get_lattice("A2")
+    q = _nearest(lat, (x, y))
+    dq = float(np.sum((lat.embed(q) - np.array([x, y])) ** 2))
+    for du in (-2, -1, 0, 1, 2):
+        for dv in (-2, -1, 0, 1, 2):
+            other = (q[0] + du, q[1] + dv)
+            d = float(np.sum((lat.embed(other) - np.array([x, y])) ** 2))
+            assert dq <= d + 1e-9
 
 
 # -- bulk kernels vs scalar exact path ----------------------------------------------
@@ -80,12 +164,14 @@ def test_round_trip_through_codec(lab31):
 
 @pytest.mark.parametrize("name", ["A2", "Z2", "Z1"])
 def test_bulk_nearest_matches_scalar(name):
+    # The exact path quantizes one row at a time (encode_vector); a batch
+    # must give each row the same point.
     lat = get_lattice(name)
     rng = np.random.default_rng(3)
     xs = rng.uniform(-6, 6, size=(500, lat.dim))
     got = bulk_nearest(lat, xs)
     for x, g in zip(xs, got):
-        assert tuple(int(v) for v in g) == lat.nearest_point(x)
+        assert tuple(int(v) for v in g) == _nearest(lat, x)
 
 
 @pytest.mark.parametrize("name,n", [("A2", 31), ("A2", 9), ("Z2", 13), ("Z1", 7)])

@@ -20,24 +20,28 @@ from mdlq.labeling import (
     DirectedEdge,
     _coset_orbits,
     _neg,
+    _relocate,
     base_edge_set,
     build_labeling,
     canonical_edge,
     class_key,
-    closest_edge_in_class,
     color,
     direct_edge,
-    ds_cost,
     labeling_from_dict,
     optimal_class_matching,
-    select_point,
 )
 from mdlq.lattices import get_lattice
 from mdlq.sublattices import build_sublattice, design_sublattice
 from mdlq.symmetry import group_for, minus_identity_group
 
 from .conftest import design
-from .reference_design import HAND_COST_A2_31, brute_force_min_cost, hand_labeling_a2_31
+from .reference_design import (
+    HAND_COST_A2_31,
+    brute_force_min_cost,
+    closest_edge_in_class,
+    ds_cost,
+    hand_labeling_a2_31,
+)
 
 
 def _sub(a, b):
@@ -104,12 +108,12 @@ def test_direct_edge_zero_edge(a2):
     assert direct_edge(a2, ((3, 1), (3, 1)), (3, 1)) == DirectedEdge((3, 1), (3, 1))
 
 
-def test_select_point_worked_example(a2):
+def test_select_point_worked_example():
+    hand = hand_labeling_a2_31()
     de = DirectedEdge((23, 14), (17, 9))
-    assert select_point(a2, de, (18, 10)) == (18, 10)
-    assert select_point(a2, de, (22, 13)) == (18, 10)  # picks 2*mu - candidate
-    rev = de.reversed()
-    assert select_point(a2, rev, (18, 10)) == (22, 13)
+    assert hand.decode_both(de) == (18, 10)
+    # The other orientation labels the mirror point 2*mu - (18, 10).
+    assert hand.decode_both(de.reversed()) == (22, 13)
 
 
 def test_reverse_orientation_labels_neighbor_cell():
@@ -123,20 +127,19 @@ def test_reverse_orientation_labels_neighbor_cell():
     assert hand.encode(other) == DirectedEdge((1, 6), (4, -7))
 
 
-def test_select_point_degenerate(a2):
-    de = DirectedEdge((5, -1), (5, -1))
-    assert select_point(a2, de, (5, -1)) == (5, -1)
+def test_select_point_degenerate():
+    # A zero edge at a sublattice point labels that point.
+    hand = hand_labeling_a2_31()
+    assert hand.decode_both(DirectedEdge((5, -1), (5, -1))) == (5, -1)
 
 
 def test_select_point_inverts_direction_rule(lab31):
     lat = lab31.lattice
     for rep, e in lab31.table.items():
-        if e[0] == e[1]:
-            continue
         de = direct_edge(lat, e, rep)
-        assert select_point(lat, de, rep) == rep
-        mirror = _sub(_add(e[0], e[1]), rep)
-        assert select_point(lat, de, mirror) == rep
+        assert lab31.decode_both(de) == rep
+        if e[0] != e[1]:
+            assert lab31.decode_both(de.reversed()) == _sub(_add(e[0], e[1]), rep)
 
 
 # -- base edge set ------------------------------------------------------------------
@@ -222,6 +225,19 @@ def test_closest_edge_z2_brute():
             if best is None or key < best:
                 best = key
     assert got == best[1]
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z1", 7)])
+def test_relocate_matches_scalar_oracle(name, n):
+    sub = design_sublattice(name, n)
+    lat = sub.lattice
+    keys = sorted({class_key(p) for p in base_edge_set(sub)[0]})  # the zero class too
+    for lam in sub.voronoi_reps:
+        w, ds2 = _relocate(sub, np.array([lam]), np.array(keys))
+        for k, wk, q in zip(keys, map(tuple, w.tolist()), ds2.tolist()):
+            e = closest_edge_in_class(sub, lam, k)
+            assert canonical_edge(wk, _add(wk, k)) == e
+            assert q == 2 * lat.dim * ds_cost(lat, lam, e)
 
 
 def test_parallelogram_identity(lab31):
@@ -417,7 +433,6 @@ def test_round_trip_property(x, y):
     lab = design("Z2", 13)
     de = lab.encode((x, y))
     assert lab.decode_both(de) == (x, y)
-    assert select_point(lab.lattice, de, (x, y)) == (x, y)
 
 
 @pytest.mark.parametrize("name,n", [("Z1", 9), ("Z4", 9), ("Z8", 81)])

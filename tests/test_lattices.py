@@ -1,88 +1,12 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mdlq.errors import ResourceLimit
 from mdlq.lattices import fills_shells, get_lattice, sphere_second_moment
 
 SQRT3 = math.sqrt(3.0)
-
-
-# -- nearest point -----------------------------------------------------------
-
-
-def test_nearest_inside_unit_cell(z2):
-    assert z2.nearest_point((0.4, -0.4)) == (0, 0)
-
-
-def test_nearest_perturbed_lattice_point(a2):
-    x = a2.embed((1, 1)) + np.array([0.01, 0.01])
-    assert a2.nearest_point(x) == (1, 1)
-
-
-def test_nearest_midpoint_tie_breaks_lexicographically(a2):
-    # Midpoint of the lattice points 0 and 1: a genuine tie, resolved toward
-    # the lexicographically smaller coordinate vector.
-    assert a2.nearest_point((0.5, 0.0)) == (0, 0)
-
-
-def test_nearest_half_integer_ties_cubic(z1, z2):
-    assert z1.nearest_point((0.5,)) == (0,)
-    assert z1.nearest_point((-0.5,)) == (-1,)
-    assert z2.nearest_point((1.5, -2.5)) == (1, -3)
-
-
-def _brute_nearest(lat, x):
-    # Oracle: exhaustive search in a generous coordinate ball around x.
-    if lat.name == "A2":
-        t = (x[0] + x[1] / SQRT3, 2.0 * x[1] / SQRT3)
-    else:
-        t = x
-    base = [math.floor(c) for c in t]
-    best = None
-    for du in range(-3, 5):
-        for dv in range(-3, 5):
-            u = (base[0] + du, base[1] + dv)
-            d = float(np.sum((lat.embed(u) - np.asarray(x)) ** 2))
-            key = (round(d, 12), u)
-            if best is None or key < best:
-                best = key
-    return best[1]
-
-
-@pytest.mark.parametrize("name", ["A2", "Z2"])
-def test_quantizer_matches_brute_force(name):
-    lat = get_lattice(name)
-    rng = np.random.default_rng(7)
-    xs = rng.uniform(-8, 8, size=(10_000, 2))
-    for x in xs:
-        assert lat.nearest_point(x) == _brute_nearest(lat, x)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    x=st.floats(min_value=-30, max_value=30, allow_nan=False),
-    y=st.floats(min_value=-30, max_value=30, allow_nan=False),
-)
-def test_nearest_is_no_farther_than_any_neighbor(x, y):
-    lat = get_lattice("A2")
-    q = lat.nearest_point((x, y))
-    dq = float(np.sum((lat.embed(q) - np.array([x, y])) ** 2))
-    for du in (-2, -1, 0, 1, 2):
-        for dv in (-2, -1, 0, 1, 2):
-            other = (q[0] + du, q[1] + dv)
-            d = float(np.sum((lat.embed(other) - np.array([x, y])) ** 2))
-            assert dq <= d + 1e-9
-
-
-def test_nearest_frame_exact_rationals(a2):
-    # Deep-hole tie at (2/3, 1/3): three equidistant candidates.
-    got = a2.nearest_point_frame((Fraction(2, 3), Fraction(1, 3)))
-    assert got == (0, 0)
 
 
 # -- shells -------------------------------------------------------------------

@@ -120,10 +120,13 @@ def test_voronoi_n1():
 @pytest.mark.parametrize("name,n", [("A2", 31), ("A2", 9), ("Z2", 25), ("Z4", 9)])
 def test_voronoi_negation_closed_on_cosets(name, n):
     sub = design_sublattice(name, n)
-    keys = {sub.coset_key(r) for r in sub.voronoi_reps}
-    assert len(keys) == n
-    for r in sub.voronoi_reps:
-        assert sub.coset_key(tuple(-x for x in r)) in keys
+    reps = set(sub.voronoi_reps)
+    zero = (0,) * sub.dim
+    # n distinct points, each the representative of its own coset.
+    assert len(reps) == n and all(sub.coset_reduce(r) == (zero, r) for r in reps)
+    for r in reps:
+        vp, rep = sub.coset_reduce(tuple(-x for x in r))
+        assert rep in reps and sub.contains(vp)
 
 
 # -- coset arithmetic -----------------------------------------------------------

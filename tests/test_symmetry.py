@@ -1,10 +1,12 @@
 import pytest
 
-from mdlq.errors import GroupPropertyViolation
-from mdlq.labeling import base_edge_set, canonical_edge, ds_cost
+from mdlq.errors import GroupPropertyViolation, SizeMismatch
+from mdlq.labeling import _orbit_reps, base_edge_set, canonical_edge
 from mdlq.lattices import get_lattice
 from mdlq.sublattices import _imatvec, design_sublattice
-from mdlq.symmetry import SymmetryGroup, check_group, group_for, minus_identity_group, orbits
+from mdlq.symmetry import SymmetryGroup, check_group, group_for, minus_identity_group
+
+from .reference_design import ds_cost
 
 
 def test_group_orders():
@@ -59,30 +61,35 @@ def test_minus_identity_group(a2):
 # -- orbits ---------------------------------------------------------------------
 
 
+def _point_orbits(g, pts, size=None):
+    return _orbit_reps(g, pts, _imatvec, g.order if size is None else size, "point")
+
+
 def test_orbit_a2_first_shell(a2):
     g = group_for(a2)
     shell = [p for p in a2.points_in_shell_ball(1) if p != (0, 0)]
-    orbs = orbits(g, shell)
-    assert len(orbs) == 1 and len(orbs[0]) == 6
+    assert _point_orbits(g, shell) == [(-1, -1)]  # one orbit of all 6 points
 
 
 def test_orbit_pm_pair(a2):
     g = minus_identity_group(a2)
-    assert orbits(g, [(2, 1), (-2, -1)]) == [((-2, -1), (2, 1))]
+    assert _point_orbits(g, [(2, 1), (-2, -1)]) == [(-2, -1)]
 
 
 def test_orbit_z2_rotation_cycle(z2):
     g = group_for(z2)
-    orbs = orbits(g, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    assert len(orbs) == 1 and len(orbs[0]) == 4
+    assert _point_orbits(g, [(1, 0), (-1, 0), (0, 1), (0, -1)]) == [(-1, 0)]
+    with pytest.raises(SizeMismatch, match="leaves the point set"):
+        _point_orbits(g, [(1, 0), (-1, 0)])
 
 
 def test_orbit_sizes_divide_group_order(a2):
+    # Fixed-point free on nonzero points: every orbit holds the whole group.
     g = group_for(a2)
     pts = [p for p in a2.points_in_shell_ball(4) if p != (0, 0)]
-    for orb in orbits(g, pts):
-        assert g.order % len(orb) == 0
-        assert len(orb) == g.order  # fixed-point free on nonzero points
+    assert len(_point_orbits(g, pts)) * g.order == len(pts)
+    with pytest.raises(SizeMismatch, match="has size 6, expected 3"):
+        _point_orbits(g, pts, size=3)
 
 
 def test_orbit_edges(a2):
@@ -90,8 +97,9 @@ def test_orbit_edges(a2):
     sub = design_sublattice("A2", 7)
     endpoints, _, _ = base_edge_set(sub)
     edges = [canonical_edge((0, 0), p) for p in endpoints if any(p)]
-    orbs = orbits(g, edges)
-    assert sum(len(o) for o in orbs) == len(edges)
+    act = lambda m, e: canonical_edge(_imatvec(m, e[0]), _imatvec(m, e[1]))  # noqa: E731
+    reps = _orbit_reps(g, edges, act, g.order, "edge")
+    assert len(reps) * g.order == len(edges)
 
 
 def test_distance_equivariance(a2):

@@ -23,6 +23,7 @@ one parity, ``orientation_flip``, which the bulk encoder applies to arrays;
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,15 +62,27 @@ class DirectedEdge(NamedTuple):
 
 
 def _neg(v):
-    return tuple(-x for x in v)
+    return tuple(map(operator.neg, v))
 
 
 def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
+
+
+def _point(v, dim: int, error):
+    """``v`` as a tuple of ``dim`` Python ints; anything else raises ``error``.
+    Python ints keep the exact arithmetic free of int64 wrap-around."""
+    try:
+        p = tuple(map(operator.index, v))
+    except TypeError:
+        raise error(f"{v!r} is not a vector of integers") from None
+    if len(p) != dim:
+        raise error(f"{v!r} has {len(p)} coordinates, expected {dim}")
+    return p
 
 
 def canonical_edge(a, b):
@@ -360,7 +373,7 @@ class Labeling:
 
     def alpha_u(self, lam):
         """Undirected label of an arbitrary lattice point (shift extension)."""
-        vp, rep = self.sub.coset_reduce(tuple(int(x) for x in lam))
+        vp, rep = self.sub.coset_reduce(_point(lam, self.sub.dim, InvalidInput))
         a, b = self.table[rep]
         return (_add(a, vp), _add(b, vp))
 
@@ -377,13 +390,17 @@ class Labeling:
         The color is evaluated on the shifted edge, so orientation alternates
         along lines of equivalent edges exactly as the balance rule requires.
         """
-        vp, rep = self.sub.coset_reduce(tuple(int(x) for x in lam))
+        vp, rep = self.sub.coset_reduce(_point(lam, self.sub.dim, InvalidInput))
         return self._directed(rep, vp)
 
     def decode_both(self, de) -> tuple:
         """Invert ``encode``: recover the lattice point from a directed label."""
-        de = DirectedEdge(tuple(de[0]), tuple(de[1]))
-        a, b = de
+        try:
+            a, b = de
+        except (TypeError, ValueError):
+            raise NotALabel(f"{de!r} is not a pair of points") from None
+        a, b = _point(a, self.sub.dim, NotALabel), _point(b, self.sub.dim, NotALabel)
+        de = DirectedEdge(a, b)
         key = class_key(_sub(b, a))
         rep = self.class_table.get(key)
         if rep is None:

@@ -17,9 +17,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -52,21 +54,23 @@ class Lattice:
 
     # -- exact arithmetic on coordinate vectors -----------------------------
 
+    @cached_property
+    def gram2_rows(self):
+        """``gram2`` as a tuple of rows of Python ints."""
+        return tuple(map(tuple, self.gram2.tolist()))
+
     def qshell(self, u) -> int:
         """Unnormalized squared length L*||u||^2 (an integer)."""
-        g = self.gram2
-        total = 0
-        for i, ui in enumerate(u):
-            if ui:
-                row = g[i]
-                total += ui * sum(int(row[j]) * u[j] for j in range(self.dim))
+        total = self.inner2(u, u)
         assert total % 2 == 0
         return total // 2
 
     def inner2(self, u, v) -> int:
-        """2x the unnormalized inner product of coordinate vectors (integer)."""
-        g = self.gram2
-        return sum(int(g[i][j]) * u[i] * v[j] for i in range(self.dim) for j in range(self.dim))
+        """2x the unnormalized inner product of coordinate vectors (integer).
+        The entries become Python ints first, so numpy integers cannot wrap."""
+        v = tuple(map(int, v))
+        rows = self.gram2_rows
+        return sum(int(x) * sum(map(operator.mul, row, v)) for x, row in zip(u, rows) if x)
 
     def embed(self, u) -> np.ndarray:
         """Map lattice coordinates to a point of R^L."""

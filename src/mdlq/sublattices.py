@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,13 +38,16 @@ from .lattices import Lattice, get_lattice
 
 
 def _imatvec(m, v):
-    """Exact integer matrix-vector product (python ints, no overflow)."""
-    return tuple(sum(int(m[i][j]) * int(v[j]) for j in range(len(v))) for i in range(len(m)))
+    """Exact product of the Python-int rows ``m`` and an integer vector ``v``.
+    The entries of ``v`` become Python ints first, so numpy integers cannot wrap."""
+    v = tuple(map(int, v))
+    return tuple(sum(map(operator.mul, row, v)) for row in m)
 
 
 def _imatmul(a, b):
-    n = len(a)
-    return [[sum(int(a[i][k]) * int(b[k][j]) for k in range(n)) for j in range(n)] for i in range(n)]
+    """Exact product of two matrices of Python ints, as a tuple of rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def z8_gamma_matrices():
@@ -144,19 +148,32 @@ class SimilarSublattice:
         return self.lattice.dim
 
     @cached_property
+    def gtilde_rows(self):
+        """Gt as a tuple of rows of Python ints, for the exact scalar products."""
+        return tuple(map(tuple, self.gtilde.tolist()))
+
+    @cached_property
+    def cell_offsets(self):
+        """The 4 corners i*g0 + j*g1 (i, j in {0, 1}) of the cell spanned by
+        the columns g0, g1 of Gt, lexicographically sorted (A2's nearest-point
+        candidates around the floor cell)."""
+        (a, b), (c, d) = self.gtilde_rows
+        return tuple(sorted([(0, 0), (a, c), (b, d), (a + b, c + d)]))
+
+    @cached_property
     def adjugate(self):
         """Integer matrix A with A @ Gt == N * I (exact inverse up to N)."""
         L = self.dim
-        g = self.gtilde
+        g = self.gtilde_rows
         if L == 1:
             adj = [[1]]
         elif L == 2:
-            adj = [[int(g[1, 1]), -int(g[0, 1])], [-int(g[1, 0]), int(g[0, 0])]]
+            adj = [[g[1][1], -g[0][1]], [-g[1][0], g[0][0]]]
         else:
             # Certificate gives Gt^-1 = Gt^T / c^2 for the cubic families.
             factor = self.index // self.scale_sq  # c^(L-2), an integer
-            adj = [[factor * int(g[j, i]) for j in range(L)] for i in range(L)]
-        prod = _imatmul(adj, g.tolist())
+            adj = [[factor * g[j][i] for j in range(L)] for i in range(L)]
+        prod = _imatmul(adj, g)
         if all(prod[i][i] == self.index for i in range(L)) and all(
             prod[i][j] == 0 for i in range(L) for j in range(L) if i != j
         ):
@@ -177,7 +194,7 @@ class SimilarSublattice:
         return all(x % self.index == 0 for x in w)
 
     def from_sub_coords(self, u):
-        return _imatvec(self.gtilde.tolist(), u)
+        return _imatvec(self.gtilde_rows, u)
 
     # -- nearest sublattice point ---------------------------------------------
 
@@ -188,40 +205,40 @@ class SimilarSublattice:
         target may sit on cell boundaries; all comparisons are exact and ties
         go to the candidate with lexicographically smallest parent coords.
         """
-        L = self.dim
-        n = self.index
         num = _imatvec(self.adjugate, t2)  # sub-coords * 2N
-        den = 2 * n
+        den = 2 * self.index
         if self.lattice.name == "A2":
-            f = tuple(x // den for x in num)
-            cands = [(f[0] + i, f[1] + j) for i in (0, 1) for j in (0, 1)]
-        else:
-            base = []
-            tied = []
-            for i, x in enumerate(num):
-                q, r = divmod(x, den)
-                if 2 * r > den:
-                    base.append(q + 1)
-                elif 2 * r < den:
-                    base.append(q)
-                else:
-                    base.append(q)
-                    tied.append(i)
-            if not tied:
-                return self.from_sub_coords(base)
-            cands = []
-            for mask in range(1 << len(tied)):
-                u = list(base)
-                for b, i in enumerate(tied):
-                    if mask >> b & 1:
-                        u[i] += 1
-                cands.append(tuple(u))
+            # The floor-cell corner plus the cell offsets in lexicographic
+            # order: the first strict minimum is the lex smallest nearest point.
+            x0, y0 = self.from_sub_coords([x // den for x in num])
+            best = None
+            for ox, oy in self.cell_offsets:
+                x, y = t2[0] - 2 * (x0 + ox), t2[1] - 2 * (y0 + oy)
+                d = x * (x - y) + y * y  # qshell((x, y))
+                if best is None or d < best:
+                    best, point = d, (x0 + ox, y0 + oy)
+            return point
+        base = []
+        tied = []
+        for i, x in enumerate(num):
+            q, r = divmod(x, den)
+            if 2 * r > den:
+                base.append(q + 1)
+            elif 2 * r < den:
+                base.append(q)
+            else:
+                base.append(q)
+                tied.append(i)
+        if not tied:
+            return self.from_sub_coords(base)
         best = None
-        lat = self.lattice
-        for u in cands:
+        for mask in range(1 << len(tied)):
+            u = list(base)
+            for b, i in enumerate(tied):
+                if mask >> b & 1:
+                    u[i] += 1
             p = self.from_sub_coords(u)
-            w = tuple(t2[i] - 2 * p[i] for i in range(L))
-            key = (lat.qshell(w), p)
+            key = (self.lattice.qshell([x - 2 * y for x, y in zip(t2, p)]), p)
             if best is None or key < best:
                 best = key
         return best[1]
@@ -229,8 +246,7 @@ class SimilarSublattice:
     def coset_reduce(self, v):
         """Split v = v' + rep with v' the nearest sublattice point to v."""
         vp = self.nearest2(tuple(2 * x for x in v))
-        rep = tuple(v[i] - vp[i] for i in range(self.dim))
-        return vp, rep
+        return vp, tuple(map(operator.sub, v, vp))
 
     # -- discrete Voronoi set --------------------------------------------------
 
@@ -279,8 +295,7 @@ def bulk_nearest2(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
         # The 4 floor candidates p0 + off, offsets in lexicographic order: the
         # first strict minimum of the distance is the lex smallest nearest point.
         p0 = (num // den) @ gt.T
-        g0, g1 = gt.T
-        offs = np.array(sorted(tuple(i * g0 + j * g1) for i in (0, 1) for j in (0, 1)))
+        offs = np.array(sub.cell_offsets, dtype=t2.dtype)
         w0 = t2 - 2 * p0
         for k, off in enumerate(2 * offs):
             w = w0 - off
@@ -316,8 +331,9 @@ def build_sublattice(lat: Lattice, params) -> SimilarSublattice:
         raise InvalidInput(f"params {params} do not fit an int64 generator matrix") from None
     L = lat.dim
     # Certify Gt^T Gram Gt == c^2 Gram in exact integers.
-    gram2 = lat.gram2.tolist()
-    m = _imatmul(_imatmul([[int(gt[j, i]) for j in range(L)] for i in range(L)], gram2), gt.tolist())
+    gram2 = lat.gram2_rows
+    rows = gt.tolist()
+    m = _imatmul(_imatmul(tuple(zip(*rows)), gram2), rows)
     c2, rem = divmod(m[0][0], gram2[0][0])
     if rem or c2 < 1:
         raise NotSimilar(f"certificate failed for params {params}")

@@ -42,10 +42,6 @@ def _idet(m) -> int:
     return int(det)
 
 
-def _mat_key(m):
-    return tuple(tuple(int(x) for x in row) for row in m)
-
-
 def _identity(dim):
     return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
@@ -84,8 +80,7 @@ def _generators(lat: Lattice):
             tuple(tuple(-1 if i == j else 0 for j in range(4)) for i in range(4)),
         ]
     if name == "Z8":
-        g1, g8 = z8_gamma_matrices()
-        return [_mat_key(g1.tolist()), _mat_key(g8.tolist())]
+        return [tuple(map(tuple, g.tolist())) for g in z8_gamma_matrices()]
     raise ValueError(name)
 
 
@@ -97,7 +92,7 @@ def _closure(gens, dim):
         nxt = []
         for m in frontier:
             for g in gens:
-                p = _mat_key(_imatmul(m, g))
+                p = _imatmul(m, g)
                 if p not in elems:
                     elems.add(p)
                     nxt.append(p)
@@ -115,20 +110,19 @@ def check_group(group: SymmetryGroup, sub: SimilarSublattice | None = None) -> N
     ident = _identity(dim)
     if _negated(ident) not in elems:
         raise GroupPropertyViolation("contains -I")
-    gram = lat.gram2.tolist()
+    gram = lat.gram2_rows
     for g in group.elements:
-        gt = tuple(zip(*g))
-        if _mat_key(_imatmul(_imatmul(gt, gram), g)) != _mat_key(gram):
+        if _imatmul(_imatmul(tuple(zip(*g)), gram), g) != gram:
             raise GroupPropertyViolation("orthogonal", f"element {g}")
     for a in group.elements:
         for b in group.elements:
-            if _mat_key(_imatmul(a, b)) not in elems:
+            if _imatmul(a, b) not in elems:
                 raise GroupPropertyViolation("closure")
     if ident not in elems:
         raise GroupPropertyViolation("identity")
     # Finite + closed implies inverses, but check explicitly.
     for g in group.elements:
-        if not any(_mat_key(_imatmul(g, h)) == ident for h in group.elements):
+        if not any(_imatmul(g, h) == ident for h in group.elements):
             raise GroupPropertyViolation("inverses", f"element {g}")
     for g in group.elements:
         if g == ident:
@@ -146,12 +140,9 @@ def check_group(group: SymmetryGroup, sub: SimilarSublattice | None = None) -> N
         # Set preservation g * Lambda' == Lambda': every column of g*Gt must be
         # a sublattice point.  (The conjugate Gt^-1 g Gt is then an integer
         # isometry of the sublattice; it need not lie in the group itself.)
-        gt_mat = sub.gtilde.tolist()
         for g in group.elements:
-            gg = _imatmul(g, gt_mat)
-            for col in range(lat.dim):
-                if not sub.contains([gg[r][col] for r in range(lat.dim)]):
-                    raise GroupPropertyViolation("preserves sublattice", f"element {g}")
+            if not all(map(sub.contains, zip(*_imatmul(g, sub.gtilde_rows)))):
+                raise GroupPropertyViolation("preserves sublattice", f"element {g}")
 
 
 def group_for(lat: Lattice, sub: SimilarSublattice | None = None) -> SymmetryGroup:

@@ -11,6 +11,7 @@ from scipy.optimize import linear_sum_assignment
 from mdlq.errors import (
     AsymmetricEdgeSet,
     InadmissibleIndex,
+    InvalidInput,
     NotALabel,
     PropertyCheckFailed,
     SizeMismatch,
@@ -407,6 +408,31 @@ def test_decode_errors(lab31):
         lab31.decode_both(((0, 0), (100, 3)))  # not a design class
     with pytest.raises(NotALabel):
         lab31.decode_both(((1, 0), (1, 0)))  # equal endpoints off the sublattice
+
+
+def test_bad_scalar_inputs_raise_named_errors():
+    lab = design("Z2", 13)
+    for bad in [(1.5, 2), (1, 2, 3), (1,), "ab", 5, (np.float64(1.0), 2)]:
+        with pytest.raises(InvalidInput):
+            lab.encode(bad)
+        with pytest.raises(InvalidInput):
+            lab.alpha_u(bad)
+    good = lab.encode((1, 2))
+    for bad in ["ab", (good.first,), (good.first, good.second, good.first), 5,
+                (good.first, (0.5, 1)), (good.first, (1, 2, 3))]:
+        with pytest.raises(NotALabel):
+            lab.decode_both(bad)
+
+
+@pytest.mark.parametrize("name,n", [("Z2", 13), ("A2", 31), ("Z8", 81)])
+def test_int64_labels_decode_without_wrapping(name, n):
+    lab = design(name, n)
+    lam = (2**62 + 7, 5) + tuple(range(-1, lab.lattice.dim - 3))
+    de = lab.encode(np.array(lam, dtype=np.int64))
+    assert de == lab.encode(lam)
+    with np.errstate(over="raise"):
+        assert lab.decode_both(np.array(de, dtype=np.int64)) == lam
+        assert lab.decode_both(tuple(np.array(e, dtype=np.int64) for e in de)) == lam
 
 
 def test_encode_matches_hand_design_colors():

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from mdlq.errors import InadmissibleIndex, NoRepresentation
 from mdlq.lattices import get_lattice
-from mdlq.sublattices import build_sublattice, bulk_nearest2, design_sublattice, find_params
+from mdlq.sublattices import (
+    _imatmul,
+    _imatvec,
+    build_sublattice,
+    bulk_nearest2,
+    design_sublattice,
+    find_params,
+)
 
 
 def test_build_a2_31_reference_frame(a2):
@@ -229,6 +236,43 @@ def test_bulk_nearest2_matches_scalar(data):
     out = bulk_nearest2(sub, far)
     assert out.dtype == object
     assert [tuple(p) for p in out.tolist()] == [sub.nearest2(tuple(t)) for t in far.tolist()]
+
+
+@pytest.mark.parametrize("n", [7, 31])
+def test_scalar_nearest2_matches_bulk_in_box_a2(n):
+    """Every doubled target in [-2N, 2N]^2, half-integer ties included."""
+    sub = design_sublattice("A2", n)
+    r = np.arange(-2 * n, 2 * n + 1)
+    t2 = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
+    got = [sub.nearest2(t) for t in map(tuple, t2.tolist())]
+    assert got == list(map(tuple, bulk_nearest2(sub, t2).tolist()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_integer_helpers_match_object_reference(data):
+    """_imatvec, _imatmul, qshell and inner2 against object-dtype numpy, on
+    Python ints up to 2^100 and on int64 inputs near 2^62, which must not wrap."""
+    lat = get_lattice(data.draw(st.sampled_from(["Z1", "Z2", "Z4", "Z8", "A2"])))
+    dim = lat.dim
+    big = st.integers(-(2**100), 2**100)
+    near62 = st.integers(2**62 - 2**20, 2**63 - 1) | st.integers(-(2**63), -(2**62) + 2**20)
+
+    def vec(elements):
+        return data.draw(st.lists(elements, min_size=dim, max_size=dim))
+
+    m = tuple(tuple(vec(big)) for _ in range(dim))
+    b = tuple(tuple(vec(big)) for _ in range(dim))
+    m_ref = np.array(m, dtype=object)
+    assert list(map(list, _imatmul(m, b))) == (m_ref @ np.array(b, dtype=object)).tolist()
+    gram = lat.gram2.astype(object)
+    for u, v in [(vec(big), vec(big)), (np.array(vec(near62)), np.array(vec(near62)))]:
+        u_ref, v_ref = np.array(u, dtype=object), np.array(v, dtype=object)
+        if isinstance(u, np.ndarray):  # int64 entries become Python ints
+            u_ref, v_ref = u.astype(object), v.astype(object)
+        assert _imatvec(m, v) == tuple((m_ref @ v_ref).tolist())
+        assert lat.inner2(u, v) == u_ref @ gram @ v_ref
+        assert lat.qshell(u) == u_ref @ gram @ u_ref // 2
 
 
 def test_covering_radius_scaling():

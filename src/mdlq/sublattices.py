@@ -39,8 +39,12 @@ from .lattices import Lattice, get_lattice
 
 def _imatvec(m, v):
     """Exact product of the Python-int rows ``m`` and an integer vector ``v``.
-    The entries of ``v`` become Python ints first, so numpy integers cannot wrap."""
-    v = tuple(map(int, v))
+    The entries of ``v`` become Python ints first, so numpy integers cannot
+    wrap; a non-integer entry raises ``InvalidInput``."""
+    try:
+        v = tuple(map(operator.index, v))
+    except TypeError:
+        raise InvalidInput(f"{v!r} is not a vector of integers") from None
     return tuple(sum(map(operator.mul, row, v)) for row in m)
 
 
@@ -245,7 +249,10 @@ class SimilarSublattice:
 
     def coset_reduce(self, v):
         """Split v = v' + rep with v' the nearest sublattice point to v."""
-        vp = self.nearest2(tuple(2 * x for x in v))
+        try:
+            vp = self.nearest2(tuple(2 * x for x in v))
+        except InvalidInput:  # name v, not the doubled target
+            raise InvalidInput(f"{v!r} is not a vector of integers") from None
         return vp, tuple(map(operator.sub, v, vp))
 
     # -- discrete Voronoi set --------------------------------------------------

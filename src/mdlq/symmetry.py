@@ -2,20 +2,22 @@
 
 Each supported lattice carries a fixed finite matrix group acting on
 coordinate vectors.  The group must satisfy six structural properties
-(checked at construction): it contains -I, is orthogonal with respect to the
-lattice Gram form, is closed with identity and inverses, preserves the
-lattice, acts fixed-point free, and has order dividing the gcd of the shell
-sizes.  When a sublattice is supplied the group must normalize it as well.
+(checked once per lattice, when its group is first made): it contains -I,
+is orthogonal with respect to the lattice Gram form, is closed with identity
+and inverses, preserves the lattice, acts fixed-point free, and has order
+dividing the gcd of the shell sizes.  When a sublattice is supplied the group
+must normalize it as well, checked on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GroupPropertyViolation
-from .lattices import Lattice
+from .lattices import Lattice, get_lattice
 from .sublattices import SimilarSublattice, _imatmul, z8_gamma_matrices
 
 
@@ -104,6 +106,13 @@ def _closure(gens, dim):
 
 def check_group(group: SymmetryGroup, sub: SimilarSublattice | None = None) -> None:
     """Run the structural property checks; raise GroupPropertyViolation."""
+    _check_lattice_group(group)
+    if sub is not None:
+        _check_preserves(group, sub)
+
+
+def _check_lattice_group(group: SymmetryGroup) -> None:
+    """The checks that depend only on the group and its lattice."""
     lat = group.lattice
     dim = lat.dim
     elems = set(group.elements)
@@ -136,19 +145,32 @@ def check_group(group: SymmetryGroup, sub: SimilarSublattice | None = None) -> N
         raise GroupPropertyViolation(
             "order divides shell-size gcd", f"gcd={math.gcd(*sizes)}, order={group.order}"
         )
-    if sub is not None:
-        # Set preservation g * Lambda' == Lambda': every column of g*Gt must be
-        # a sublattice point.  (The conjugate Gt^-1 g Gt is then an integer
-        # isometry of the sublattice; it need not lie in the group itself.)
-        for g in group.elements:
-            if not all(map(sub.contains, zip(*_imatmul(g, sub.gtilde_rows)))):
-                raise GroupPropertyViolation("preserves sublattice", f"element {g}")
+
+
+def _check_preserves(group: SymmetryGroup, sub: SimilarSublattice) -> None:
+    # Set preservation g * Lambda' == Lambda': every column of g*Gt must be
+    # a sublattice point.  (The conjugate Gt^-1 g Gt is then an integer
+    # isometry of the sublattice; it need not lie in the group itself.)
+    for g in group.elements:
+        if not all(map(sub.contains, zip(*_imatmul(g, sub.gtilde_rows)))):
+            raise GroupPropertyViolation("preserves sublattice", f"element {g}")
+
+
+@functools.cache
+def _lattice_group_elements(name: str) -> tuple:
+    """The standard group's elements for one lattice name, checked once."""
+    lat = get_lattice(name)
+    group = SymmetryGroup(lat, _closure(_generators(lat), lat.dim))
+    _check_lattice_group(group)
+    return group.elements
 
 
 def group_for(lat: Lattice, sub: SimilarSublattice | None = None) -> SymmetryGroup:
-    """The standard group for a lattice, fully property-checked."""
-    group = SymmetryGroup(lat, _closure(_generators(lat), lat.dim))
-    check_group(group, sub)
+    """The standard group for a lattice, fully property-checked.  The lattice
+    checks run once per lattice name; "preserves sublattice" runs every call."""
+    group = SymmetryGroup(lat, _lattice_group_elements(lat.name))
+    if sub is not None:
+        _check_preserves(group, sub)
     return group
 
 

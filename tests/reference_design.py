@@ -1,7 +1,7 @@
 """Test references: the hand-constructed labeling of the hexagonal N=31
 design, the scalar side distortion and edge relocation, the exhaustive
-optimum of small designs, and the asymptotic sweep computed one index at a
-time.
+optimum of small designs, the assignment solver that moves every potential
+at every step, and the asymptotic sweep computed one index at a time.
 
 This is the classic worked assignment for the index-31 hexagonal design in
 the frame u = 5 - w (params (5, -1)): each orbit of the order-6 rotation
@@ -14,9 +14,12 @@ lattice coordinates (x, y) for x + y*w.
 """
 
 import math
+import numbers
 import sys
 from fractions import Fraction
 from itertools import permutations
+
+import numpy as np
 
 from mdlq.errors import InadmissibleIndex, InvalidInput, SizeMismatch
 from mdlq.evaluation import analytic_d0, rate_targeted_beta
@@ -99,6 +102,55 @@ def brute_force_min_cost(sub: SimilarSublattice) -> Fraction:
         if best is None or c < best:
             best = c
     return best
+
+
+def eager_min_cost_assignment(cost):
+    """The shortest augmenting path solver that moves every potential by
+    ``delta`` at every step: the oracle of ``mdlq.assignment``'s column
+    choices (ties go to the first minimal column)."""
+    n = len(cost)
+    if n == 0:
+        return [], 0
+    inf = sum(abs(c) for row in cost for c in row) + 1
+    assert isinstance(inf, numbers.Integral)
+    dtype = np.int64 if 4 * inf < 2**63 else object
+    c = np.zeros((n, n + 1), dtype=dtype)  # column 0 is the dummy start column
+    c[:, 1:] = cost
+    u = np.zeros(n + 1, dtype=dtype)
+    v = np.zeros(n + 1, dtype=dtype)
+    p = np.zeros(n + 1, dtype=np.intp)
+    way = np.zeros(n + 1, dtype=np.intp)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, inf, dtype=dtype)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            free = ~used
+            i0 = p[j0]
+            cur = c[i0 - 1] - u[i0] - v
+            better = free & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            masked = np.where(free, minv, inf)
+            delta = masked.min()
+            j1 = int(np.flatnonzero(masked == delta)[0])
+            done = np.flatnonzero(used)
+            u[p[done]] += delta
+            v[done] -= delta
+            minv[free] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    cols = [0] * n
+    for j in range(1, n + 1):
+        cols[p[j] - 1] = j - 1
+    return cols, sum(cost[i][cols[i]] for i in range(n))
 
 
 def asymptotic_rows_per_index(lat: Lattice, n_sequence, a: float, h_bits: float = 0.0):

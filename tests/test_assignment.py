@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from mdlq import assignment
 from mdlq.assignment import min_cost_assignment
+
+from .reference_design import eager_min_cost_assignment
 
 
 def test_trivial_cases():
@@ -66,3 +71,58 @@ def test_costs_beyond_int64_run_exactly():
     assert total == int(small[ri, ci].sum()) + n * 2**70
     assert sorted(cols) == list(range(n))
 
+
+@st.composite
+def _tie_heavy_matrices(draw):
+    n = draw(st.integers(1, 9))
+    values = draw(st.sampled_from([st.integers(0, 2), st.integers(-3, 3), st.integers(-60, 60)]))
+    return [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost=_tie_heavy_matrices())
+def test_same_columns_as_eager_potential_updates(cost):
+    """The lazy potentials pick the columns of the solver that moves every
+    potential at every step, ties and negative costs included, and so does
+    the Python-int path on the same matrix shifted past int64."""
+    expected = eager_min_cost_assignment(cost)
+    assert min_cost_assignment(cost) == expected
+    cols, _ = min_cost_assignment([[x + 2**70 for x in row] for row in cost])
+    assert cols == expected[0]
+
+
+def _matrix_with_abs_sum(total, seed):
+    """A 4 x 4 matrix of multiples of 2**55, mixed signs and ties, whose
+    absolute values sum to ``total * 2**55`` (exact in float64 for scipy)."""
+    rng = np.random.default_rng(seed)
+    small = rng.integers(-3, 4, size=(4, 4))
+    small[0, 0] = 0
+    small[0, 0] = -(total - int(np.abs(small).sum()))
+    assert int(np.abs(small).sum()) == total
+    return [[int(x) * 2**55 for x in row] for row in small.tolist()], small
+
+
+@pytest.mark.parametrize("total,dtype", [(63, np.dtype(np.int64)), (64, np.dtype(object))])
+@pytest.mark.parametrize("seed", range(4))
+def test_int64_switch(monkeypatch, total, dtype, seed):
+    """Just below 4 * inf = 2**63 the solver stays on int64 and just above it
+    moves to Python ints; both totals equal scipy's."""
+    cost, small = _matrix_with_abs_sum(total, seed)
+    inf = total * 2**55 + 1
+    assert (4 * inf < 2**63) == (dtype == np.int64)
+    made = set()
+
+    class _Numpy:  # numpy, recording the dtype of every tentative-distance row
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def full(self, shape, fill, dtype):
+            made.add(np.dtype(dtype))
+            return np.full(shape, fill, dtype=dtype)
+
+    monkeypatch.setattr(assignment, "np", _Numpy())
+    cols, got = min_cost_assignment(cost)
+    assert made == {dtype}
+    ri, ci = linear_sum_assignment(small)
+    assert got == int(small[ri, ci].sum()) * 2**55
+    assert sorted(cols) == list(range(4))

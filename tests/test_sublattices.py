@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdlq.errors import InadmissibleIndex, NoRepresentation
+from mdlq.errors import InadmissibleIndex, InvalidInput, NoRepresentation
 from mdlq.lattices import get_lattice
 from mdlq.sublattices import (
     _imatmul,
@@ -24,6 +24,22 @@ def test_build_a2_31_reference_frame(a2):
     assert sub.scale_sq == 31
     # First generator column is u = 5 - w.
     assert tuple(sub.gtilde[:, 0]) == (5, -1)
+
+
+def test_scalar_methods_reject_non_integer_coordinates():
+    """``coset_reduce``, ``nearest2`` and ``contains`` take integer coordinates
+    only; a float used to be truncated in one product and kept in the rest,
+    giving a float "representative"."""
+    sub = design_sublattice("A2", 31)
+    with pytest.raises(InvalidInput, match=r"\(4\.6, 0\) is not"):
+        sub.coset_reduce((4.6, 0))
+    with pytest.raises(InvalidInput):
+        sub.nearest2((9.2, 0.0))
+    with pytest.raises(InvalidInput):
+        sub.contains((1.5, 2))
+    with pytest.raises(InvalidInput):
+        sub.coset_reduce((np.float64(4.0), 0))
+    assert sub.coset_reduce((np.int64(4), 0)) == sub.coset_reduce((4, 0)) == ((5, -1), (-1, 1))
 
 
 def test_build_z2_identity(z2):

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from mdlq.errors import GroupPropertyViolation, SizeMismatch
 from mdlq.labeling import _orbit_reps, base_edge_set, canonical_edge
 from mdlq.lattices import get_lattice
-from mdlq.sublattices import _imatvec, design_sublattice
+from mdlq.sublattices import SimilarSublattice, _imatvec, design_sublattice
 from mdlq.symmetry import SymmetryGroup, check_group, group_for, minus_identity_group
 
 from .reference_design import ds_cost
@@ -50,6 +51,17 @@ def test_group_property_violation_reported(a2):
     shear = SymmetryGroup(a2, (ident, ((-1, 0), (0, -1)), ((1, 1), (0, 1))))
     with pytest.raises(GroupPropertyViolation):
         check_group(shear)
+
+
+def test_sublattice_check_runs_on_every_call(z2):
+    """The lattice checks are cached per lattice, the sublattice check is not:
+    the quarter turn does not map the rectangular sublattice Z x 3Z to itself."""
+    group_for(z2)
+    rect = SimilarSublattice(z2, (), np.array([[1, 0], [0, 3]]), 3, 3)
+    with pytest.raises(GroupPropertyViolation, match="preserves sublattice"):
+        group_for(z2, rect)
+    with pytest.raises(GroupPropertyViolation, match="preserves sublattice"):
+        check_group(group_for(z2), rect)
 
 
 def test_minus_identity_group(a2):

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, NotALabel, ResourceLimit
 from .evaluation import analytic_d0, analytic_excess, analytic_rates, cell_volume
 from .labeling import DirectedEdge, Labeling, orientation_flip
-from .lattices import Lattice
+from .lattices import Lattice, int_point
 from .sublattices import bulk_nearest2
 
 _SQRT3 = math.sqrt(3.0)
@@ -130,7 +130,10 @@ def reconstruct(design: ScaledDesign, received: str, payload):
     if received == "both":
         lam = design.labeling.decode_both(payload)
     elif received in ("ch1", "ch2"):
-        lam = payload  # a single description is the sublattice point itself
+        # A single description is the sublattice point itself.
+        lam = int_point(payload, design.dim)
+        if not design.labeling.sub.contains(lam):
+            raise NotALabel(f"{payload!r} is not a point of the sublattice")
     else:
         raise InvalidInput(f"received must be 'both', 'ch1' or 'ch2', got {received!r}")
     return design.beta * design.lattice.embed(lam)

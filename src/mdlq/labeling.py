@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,7 +43,7 @@ from .errors import (
     SizeMismatch,
     ZeroEdge,
 )
-from .lattices import Lattice, get_lattice
+from .lattices import Lattice, get_lattice, int_point, shell_prefix
 from .sublattices import SimilarSublattice, _imatvec, bulk_nearest2
 from .symmetry import SymmetryGroup, group_for, minus_identity_group
 
@@ -71,18 +72,6 @@ def _add(a, b):
 
 def _sub(a, b):
     return tuple(map(operator.sub, a, b))
-
-
-def _point(v, dim: int, error):
-    """``v`` as a tuple of ``dim`` Python ints; anything else raises ``error``.
-    Python ints keep the exact arithmetic free of int64 wrap-around."""
-    try:
-        p = tuple(map(operator.index, v))
-    except TypeError:
-        raise error(f"{v!r} is not a vector of integers") from None
-    if len(p) != dim:
-        raise error(f"{v!r} has {len(p)} coordinates, expected {dim}")
-    return p
 
 
 def canonical_edge(a, b):
@@ -195,20 +184,14 @@ def base_edge_set(sub: SimilarSublattice):
     """
     lat = sub.lattice
     n = sub.index
-    shells = lat.shells_covering(n)
-    acc = 0
-    kmax = 0
-    for i, a in enumerate(shells.A):
-        acc += a
-        if acc >= n:
-            kmax = i
-            break
-    prev = acc - shells.A[kmax]  # points in shells < kmax
-    pts = list(lat.points_in_shell_ball(kmax))
-    full = [u for u in pts if lat.qshell(u) < kmax]
-    last = [u for u in pts if lat.qshell(u) == kmax]
-    need = n - prev
-    hist = {i: a for i, a in enumerate(shells.A[:kmax]) if a}
+    kmax = bisect_left(shell_prefix(lat, n)[0], n)  # the shell of the N-th point
+    by_norm = {}
+    for u in lat.points_in_shell_ball(kmax):
+        by_norm.setdefault(lat.qshell(u), []).append(u)
+    last = by_norm.pop(kmax)
+    full = [u for pts in by_norm.values() for u in pts]
+    need = n - len(full)
+    hist = {i: len(pts) for i, pts in sorted(by_norm.items())}
     if need == len(last):
         chosen = last
     else:
@@ -372,8 +355,9 @@ class Labeling:
     # -- encoding ----------------------------------------------------------------
 
     def alpha_u(self, lam):
-        """Undirected label of an arbitrary lattice point (shift extension)."""
-        vp, rep = self.sub.coset_reduce(_point(lam, self.sub.dim, InvalidInput))
+        """Undirected label of an arbitrary lattice point (shift extension);
+        ``coset_reduce`` checks ``lam``."""
+        vp, rep = self.sub.coset_reduce(lam)
         a, b = self.table[rep]
         return (_add(a, vp), _add(b, vp))
 
@@ -388,9 +372,10 @@ class Labeling:
         """Directed label of a lattice point.
 
         The color is evaluated on the shifted edge, so orientation alternates
-        along lines of equivalent edges exactly as the balance rule requires.
+        along lines of equivalent edges exactly as the balance rule requires;
+        ``coset_reduce`` checks ``lam``.
         """
-        vp, rep = self.sub.coset_reduce(_point(lam, self.sub.dim, InvalidInput))
+        vp, rep = self.sub.coset_reduce(lam)
         return self._directed(rep, vp)
 
     def decode_both(self, de) -> tuple:
@@ -399,7 +384,7 @@ class Labeling:
             a, b = de
         except (TypeError, ValueError):
             raise NotALabel(f"{de!r} is not a pair of points") from None
-        a, b = _point(a, self.sub.dim, NotALabel), _point(b, self.sub.dim, NotALabel)
+        a, b = int_point(a, self.sub.dim, NotALabel), int_point(b, self.sub.dim, NotALabel)
         de = DirectedEdge(a, b)
         key = class_key(_sub(b, a))
         rep = self.class_table.get(key)
@@ -569,7 +554,10 @@ def build_labeling(
             if anchors is None:
                 found, _ = optimal_class_matching(sub, endpoints, g)
             else:
-                found = {tuple(p): class_key(tuple(k)) for p, k in anchors.items()}
+                found = {
+                    int_point(p, sub.dim): class_key(int_point(k, sub.dim))
+                    for p, k in anchors.items()
+                }
             table, cost = _expand_anchors(sub, g, found)
             if len(table) != sub.index:
                 raise SizeMismatch(f"table has {len(table)} rows, expected {sub.index}")

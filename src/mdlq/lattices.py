@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ResourceLimit
+from .errors import InvalidInput, ResourceLimit
 
 LATTICE_NAMES = ("Z1", "Z2", "Z4", "Z8", "A2")
 
@@ -61,16 +61,14 @@ class Lattice:
 
     def qshell(self, u) -> int:
         """Unnormalized squared length L*||u||^2 (an integer)."""
-        total = self.inner2(u, u)
-        assert total % 2 == 0
-        return total // 2
+        return self.inner2(u, u) // 2
 
     def inner2(self, u, v) -> int:
-        """2x the unnormalized inner product of coordinate vectors (integer).
-        The entries become Python ints first, so numpy integers cannot wrap."""
-        v = tuple(map(int, v))
+        """2x the unnormalized inner product of coordinate vectors (integer);
+        see ``int_point`` for the vectors it takes."""
+        u, v = int_point(u, self.dim), int_point(v, self.dim)
         rows = self.gram2_rows
-        return sum(int(x) * sum(map(operator.mul, row, v)) for x, row in zip(u, rows) if x)
+        return sum(x * sum(map(operator.mul, row, v)) for x, row in zip(u, rows) if x)
 
     def embed(self, u) -> np.ndarray:
         """Map lattice coordinates to a point of R^L."""
@@ -161,6 +159,20 @@ class ThetaShells:
 
     def __len__(self) -> int:
         return len(self.A)
+
+
+def int_point(v, dim: int, error=InvalidInput):
+    """``v`` as a tuple of ``dim`` Python ints; anything else raises ``error``.
+
+    The public scalar entry points check their outside vectors here; Python
+    ints keep the exact arithmetic free of int64 wrap-around."""
+    try:
+        p = tuple(map(operator.index, v))
+    except TypeError:
+        raise error(f"{v!r} is not a vector of integers") from None
+    if len(p) != dim:
+        raise error(f"{v!r} has {len(p)} coordinates, expected {dim}")
+    return p
 
 
 def _cubic_ball(dim: int, budget: int):

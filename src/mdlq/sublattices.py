@@ -20,6 +20,12 @@ Families (parameters follow the generator constructions for each lattice):
   quaternionic matrix of s, and N = s^2 (an odd perfect square).
 * Z8: params (a, b, c, d); columns of Gt are the orbit of
   v = (a,0,b,0,c,0,d,0) under the order-16 matrix group, N = s^4.
+
+The nearest sublattice point has one rule in two forms: the scalar
+``nearest2`` on Python ints and ``bulk_nearest2`` on arrays.  Both read the
+same cached constants, ``cell_offsets`` on A2 and ``tie_side`` in the cubic
+frames.  The public scalar methods check their vectors with
+``lattices.int_point`` on entry; the internal products take Python ints.
 """
 
 from __future__ import annotations
@@ -34,17 +40,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InadmissibleIndex, InvalidInput, NoRepresentation, NotSimilar
-from .lattices import Lattice, get_lattice
+from .lattices import Lattice, get_lattice, int_point
 
 
 def _imatvec(m, v):
-    """Exact product of the Python-int rows ``m`` and an integer vector ``v``.
-    The entries of ``v`` become Python ints first, so numpy integers cannot
-    wrap; a non-integer entry raises ``InvalidInput``."""
-    try:
-        v = tuple(map(operator.index, v))
-    except TypeError:
-        raise InvalidInput(f"{v!r} is not a vector of integers") from None
+    """Exact product of the Python-int rows ``m`` and the Python-int vector ``v``."""
     return tuple(sum(map(operator.mul, row, v)) for row in m)
 
 
@@ -165,6 +165,18 @@ class SimilarSublattice:
         return tuple(sorted([(0, 0), (a, c), (b, d), (a + b, c + d)]))
 
     @cached_property
+    def tie_side(self):
+        """Per column g of Gt, 1 if g is lexicographically positive (its
+        first nonzero entry is), else 0.
+
+        In an orthogonal frame a sub-coordinate halfway between two integers
+        rounds up, minus this bit, so a tie steps along g only where that
+        lowers the point in lexicographic order.  Lexicographic order is
+        compatible with addition, so the ties of all sub-coordinates resolve
+        independently to the lexicographically smallest tied point."""
+        return tuple(int(next(x for x in col if x) > 0) for col in zip(*self.gtilde_rows))
+
+    @cached_property
     def adjugate(self):
         """Integer matrix A with A @ Gt == N * I (exact inverse up to N)."""
         L = self.dim
@@ -194,11 +206,11 @@ class SimilarSublattice:
     # -- membership and coordinates ------------------------------------------
 
     def contains(self, v) -> bool:
-        w = _imatvec(self.adjugate, v)
+        w = _imatvec(self.adjugate, int_point(v, self.dim))
         return all(x % self.index == 0 for x in w)
 
     def from_sub_coords(self, u):
-        return _imatvec(self.gtilde_rows, u)
+        return _imatvec(self.gtilde_rows, int_point(u, self.dim))
 
     # -- nearest sublattice point ---------------------------------------------
 
@@ -209,12 +221,13 @@ class SimilarSublattice:
         target may sit on cell boundaries; all comparisons are exact and ties
         go to the candidate with lexicographically smallest parent coords.
         """
+        t2 = int_point(t2, self.dim)
         num = _imatvec(self.adjugate, t2)  # sub-coords * 2N
         den = 2 * self.index
         if self.lattice.name == "A2":
             # The floor-cell corner plus the cell offsets in lexicographic
             # order: the first strict minimum is the lex smallest nearest point.
-            x0, y0 = self.from_sub_coords([x // den for x in num])
+            x0, y0 = _imatvec(self.gtilde_rows, [x // den for x in num])
             best = None
             for ox, oy in self.cell_offsets:
                 x, y = t2[0] - 2 * (x0 + ox), t2[1] - 2 * (y0 + oy)
@@ -222,37 +235,18 @@ class SimilarSublattice:
                 if best is None or d < best:
                     best, point = d, (x0 + ox, y0 + oy)
             return point
-        base = []
-        tied = []
-        for i, x in enumerate(num):
-            q, r = divmod(x, den)
-            if 2 * r > den:
-                base.append(q + 1)
-            elif 2 * r < den:
-                base.append(q)
-            else:
-                base.append(q)
-                tied.append(i)
-        if not tied:
-            return self.from_sub_coords(base)
-        best = None
-        for mask in range(1 << len(tied)):
-            u = list(base)
-            for b, i in enumerate(tied):
-                if mask >> b & 1:
-                    u[i] += 1
-            p = self.from_sub_coords(u)
-            key = (self.lattice.qshell([x - 2 * y for x, y in zip(t2, p)]), p)
-            if best is None or key < best:
-                best = key
-        return best[1]
+        # Orthogonal frame: each sub-coordinate rounds on its own, half up,
+        # and a tie takes the side given by ``tie_side``.
+        u = []
+        for x, side in zip(num, self.tie_side):
+            q, r = divmod(x + self.index, den)
+            u.append(q - side if r == 0 else q)
+        return _imatvec(self.gtilde_rows, u)
 
     def coset_reduce(self, v):
         """Split v = v' + rep with v' the nearest sublattice point to v."""
-        try:
-            vp = self.nearest2(tuple(2 * x for x in v))
-        except InvalidInput:  # name v, not the doubled target
-            raise InvalidInput(f"{v!r} is not a vector of integers") from None
+        v = int_point(v, self.dim)
+        vp = self.nearest2(tuple(2 * x for x in v))
         return vp, tuple(map(operator.sub, v, vp))
 
     # -- discrete Voronoi set --------------------------------------------------
@@ -315,16 +309,15 @@ def bulk_nearest2(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
                 pick[upd] = k
         return p0 + offs[pick]
     # Orthogonal frame: distances separate over the sub-coordinates, so each
-    # rounds on its own, half up.  A tie (num + N divisible by 2N) keeps the +1
-    # side only where the first nonzero entry of that column of Gt is
-    # negative, which gives the lexicographically smallest tied point.  At odd
-    # N a tie needs an odd adj @ t2, so all-even targets skip the check.
+    # rounds on its own, half up, and a tie (num + N divisible by 2N) takes
+    # the side given by ``sub.tie_side``.  At odd N a tie needs an odd
+    # adj @ t2, so all-even targets skip the check.
     num += sub.index
     u = num // den
     if sub.index % 2 == 0 or np.bitwise_or.reduce(t2, axis=None) & 1:
         ties = num == u * den
         if ties.any():
-            u -= ties & np.array([next(x for x in col if x) > 0 for col in sub.gtilde.T.tolist()])
+            u -= ties * np.array(sub.tie_side, dtype=u.dtype)
     return u @ gt.T
 
 

@@ -21,7 +21,7 @@ from mdlq.codec import (
     simulate,
     source_entropy_bits,
 )
-from mdlq.errors import InvalidInput
+from mdlq.errors import InvalidInput, NotALabel
 from mdlq.evaluation import rate_targeted_beta
 from mdlq.labeling import DirectedEdge, direct_edge
 from mdlq.lattices import get_lattice
@@ -65,6 +65,13 @@ def test_reconstruct_worked_example():
     np.testing.assert_allclose(reconstruct(d, "ch2", (17, 9)), lat.embed((17, 9)), atol=1e-12)
     with pytest.raises(InvalidInput):
         reconstruct(d, "both-ish", de)
+    # A single description must be a sublattice point: a float used to be
+    # scaled as given, and a point off the sublattice was returned as well.
+    for bad in [(1.5, 0), (1, 2, 3), "ab"]:
+        with pytest.raises(InvalidInput):
+            reconstruct(d, "ch1", bad)
+    with pytest.raises(NotALabel):
+        reconstruct(d, "ch2", (1, 0))
 
 
 def test_round_trip_through_codec(lab31):

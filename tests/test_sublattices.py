@@ -1,4 +1,6 @@
 import functools
+import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdlq.errors import InadmissibleIndex, InvalidInput, NoRepresentation
-from mdlq.lattices import get_lattice
+from mdlq.errors import InadmissibleIndex, InvalidInput, NoRepresentation, NotALabel
+from mdlq.lattices import get_lattice, int_point
 from mdlq.sublattices import (
     _imatmul,
     _imatvec,
@@ -26,19 +28,33 @@ def test_build_a2_31_reference_frame(a2):
     assert tuple(sub.gtilde[:, 0]) == (5, -1)
 
 
-def test_scalar_methods_reject_non_integer_coordinates():
-    """``coset_reduce``, ``nearest2`` and ``contains`` take integer coordinates
-    only; a float used to be truncated in one product and kept in the rest,
-    giving a float "representative"."""
+def test_scalar_methods_reject_non_integer_coordinates(lab31):
+    """Every public scalar entry takes a vector of ``dim`` integers only.  A
+    float used to be truncated in one product and kept in the rest, giving a
+    float "representative"; a wrong length was cut short by ``zip``."""
     sub = design_sublattice("A2", 31)
+    lat = sub.lattice
+    entries = [
+        lat.qshell,
+        lambda v: lat.inner2(v, (1, 0)),
+        lambda v: lat.inner2((1, 0), v),
+        sub.contains,
+        sub.from_sub_coords,
+        sub.nearest2,
+        sub.coset_reduce,
+        lab31.encode,
+        lab31.alpha_u,
+    ]
+    for bad in [(1, 2, 3), (1,), (), (1.5, 0), (0.5, 0.5), (np.float64(4.0), 0), "ab", (1, "2"), 5]:
+        for entry in entries:
+            with pytest.raises(InvalidInput):
+                entry(bad)
+        with pytest.raises(NotALabel):
+            lab31.decode_both(((5, -1), bad))
+    with pytest.raises(InvalidInput):
+        get_lattice("Z2").qshell((1.5, 0))
     with pytest.raises(InvalidInput, match=r"\(4\.6, 0\) is not"):
         sub.coset_reduce((4.6, 0))
-    with pytest.raises(InvalidInput):
-        sub.nearest2((9.2, 0.0))
-    with pytest.raises(InvalidInput):
-        sub.contains((1.5, 2))
-    with pytest.raises(InvalidInput):
-        sub.coset_reduce((np.float64(4.0), 0))
     assert sub.coset_reduce((np.int64(4), 0)) == sub.coset_reduce((4, 0)) == ((5, -1), (-1, 1))
 
 
@@ -190,15 +206,16 @@ def test_partition_property(name, n):
 
 
 def _brute_nearest2(sub, t2):
+    """Exhaustive search by distance, then lexicographic order: over the
+    {floor, floor + 1}^L box of sub-coordinates in an orthogonal frame, where
+    distances separate over them, and over a 6 x 6 box on A2."""
     lat = sub.lattice
     n = sub.index
     num = [sum(sub.adjugate[i][j] * t2[j] for j in range(lat.dim)) for i in range(lat.dim)]
     base = [x // (2 * n) for x in num]
     best = None
-    span = range(-2, 4)
-    from itertools import product
-
-    for off in product(span, repeat=lat.dim):
+    span = range(-2, 4) if lat.name == "A2" else range(2)
+    for off in itertools.product(span, repeat=lat.dim):
         u = tuple(b + o for b, o in zip(base, off))
         p = sub.from_sub_coords(u)
         w = tuple(t - 2 * c for t, c in zip(t2, p))
@@ -208,12 +225,17 @@ def _brute_nearest2(sub, t2):
     return best[1]
 
 
-@pytest.mark.parametrize("name,n", [("A2", 31), ("A2", 9), ("Z2", 13)])
+@pytest.mark.parametrize("name,n", [("A2", 31), ("A2", 9), ("Z2", 13), ("Z4", 9), ("Z8", 81)])
 def test_nearest_sublattice_point_vs_brute(name, n):
+    """Random doubled targets, and doubled midpoints a + b of sublattice
+    points, which tie in every sub-coordinate where a and b differ by an odd
+    step."""
     sub = design_sublattice(name, n)
     rng = np.random.default_rng(5)
-    for t2 in rng.integers(-51, 51, size=(400, sub.dim)):
-        t2 = tuple(int(x) for x in t2)
+    targets = [tuple(map(int, t2)) for t2 in rng.integers(-51, 51, size=(400, sub.dim))]
+    for u, w in rng.integers(-3, 4, size=(100, 2, sub.dim)).tolist():
+        targets.append(tuple(map(operator.add, sub.from_sub_coords(u), sub.from_sub_coords(w))))
+    for t2 in targets:
         assert sub.nearest2(t2) == _brute_nearest2(sub, t2)
 
 
@@ -244,8 +266,7 @@ def test_bulk_nearest2_matches_scalar(data):
     t2 = np.array(rows, dtype=np.int64)
     got = [tuple(p) for p in bulk_nearest2(sub, t2).tolist()]
     assert got == [sub.nearest2(tuple(t)) for t in rows]
-    if dim <= 4:  # the brute-force box has 6^L candidates
-        assert got == [_brute_nearest2(sub, tuple(t)) for t in rows]
+    assert got == [_brute_nearest2(sub, tuple(t)) for t in rows]
     u = [data.draw(st.integers(2**64, 2**70))] + data.draw(vec(-(2**70), 2**70))[1:]
     far = np.array(t2.tolist(), dtype=object) + np.array([2 * x for x in sub.from_sub_coords(u)])
     assert np.abs(far).max() > sub.t2_bound
@@ -268,7 +289,8 @@ def test_scalar_nearest2_matches_bulk_in_box_a2(n):
 @given(data=st.data())
 def test_integer_helpers_match_object_reference(data):
     """_imatvec, _imatmul, qshell and inner2 against object-dtype numpy, on
-    Python ints up to 2^100 and on int64 inputs near 2^62, which must not wrap."""
+    Python ints up to 2^100 and on int64 inputs near 2^62, which must not wrap
+    (``int_point`` turns them into Python ints, as every public entry does)."""
     lat = get_lattice(data.draw(st.sampled_from(["Z1", "Z2", "Z4", "Z8", "A2"])))
     dim = lat.dim
     big = st.integers(-(2**100), 2**100)
@@ -286,7 +308,7 @@ def test_integer_helpers_match_object_reference(data):
         u_ref, v_ref = np.array(u, dtype=object), np.array(v, dtype=object)
         if isinstance(u, np.ndarray):  # int64 entries become Python ints
             u_ref, v_ref = u.astype(object), v.astype(object)
-        assert _imatvec(m, v) == tuple((m_ref @ v_ref).tolist())
+        assert _imatvec(m, int_point(v, dim)) == tuple((m_ref @ v_ref).tolist())
         assert lat.inner2(u, v) == u_ref @ gram @ v_ref
         assert lat.qshell(u) == u_ref @ gram @ u_ref // 2
 

@@ -26,7 +26,7 @@ from .labeling import (
     labeling_from_dict,
     optimal_class_matching,
 )
-from .lattices import Lattice, ThetaShells, fills_shells, get_lattice, sphere_second_moment
+from .lattices import Lattice, ThetaShells, get_lattice, sphere_second_moment
 from .sublattices import SimilarSublattice, build_sublattice, design_sublattice, find_params
 from .symmetry import SymmetryGroup, group_for
 
@@ -56,7 +56,6 @@ __all__ = [
     "edge_histogram",
     "encode_vector",
     "figure_data",
-    "fills_shells",
     "find_params",
     "get_lattice",
     "group_for",

@@ -148,7 +148,9 @@ def bulk_nearest(lat: Lattice, x: np.ndarray) -> np.ndarray:
     """Nearest-lattice-point coordinates for an (n, L) array of reals; ties go
     to the lexicographically smallest coordinate vector.
 
-    The cubic lattices round each coordinate half down.  On A2 the nearest
+    The cubic lattices round each coordinate half down, exactly: the point
+    ceil(x - 1/2) is floor(ceil(2x) / 2), and 2x, unlike x - 1/2, has no
+    rounding error (the int64 result needs |x| < 2^62).  On A2 the nearest
     point is a corner of the floor cell in lattice coordinates: the cell's
     short diagonal cuts it into two equilateral triangles, and every point of
     a triangle is nearest to one of its corners (Conway & Sloane, IEEE Trans.
@@ -156,7 +158,9 @@ def bulk_nearest(lat: Lattice, x: np.ndarray) -> np.ndarray:
     order, so the first strict minimum is the lex smallest nearest point.
     """
     if lat.name != "A2":
-        return np.ceil(x - 0.5).astype(np.int64)
+        lam = np.ceil(2 * x).astype(np.int64)
+        lam >>= 1
+        return lam
     t1 = x[:, 0] + x[:, 1] / _SQRT3
     t2 = 2.0 * x[:, 1] / _SQRT3
     f1, f2 = np.floor(t1), np.floor(t2)

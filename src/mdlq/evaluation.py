@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import InadmissibleIndex, InvalidInput, MdlqError
 from .labeling import Labeling, build_labeling
 from .lattices import Lattice, filled_shell, get_lattice, shell_prefix, sphere_second_moment
-from .sublattices import design_sublattice, find_params
+from .sublattices import design_sublattice, find_params, sublattice_indices
 
 
 # ---------------------------------------------------------------------------
@@ -123,43 +123,13 @@ def edge_histogram(labeling: Labeling):
 # ---------------------------------------------------------------------------
 
 
-def _representable_set(lat: Lattice, n_max: int):
-    """All indices <= n_max admitting a similar sublattice (one-pass sieve)."""
-    name = lat.name
-    if name == "Z1":
-        return range(1, n_max + 1, 2)
-    if name == "Z2":
-        r = math.isqrt(n_max)
-        vals = {
-            a * a + b * b
-            for a in range(r + 1)
-            for b in range(r + 1)
-            if 0 < a * a + b * b <= n_max and (a * a + b * b) % 2
-        }
-        return vals
-    if name == "A2":
-        r = math.isqrt(4 * n_max // 3) + 1
-        vals = set()
-        for a in range(-r, r + 1):
-            for b in range(r + 1):
-                v = a * a - a * b + b * b
-                if 0 < v <= n_max:
-                    vals.add(v)
-        return vals
-    if name == "Z4":
-        return {s * s for s in range(1, math.isqrt(n_max) + 1, 2)}
-    if name == "Z8":
-        return {s**4 for s in range(1, int(n_max**0.25) + 2) if s**4 <= n_max}
-    raise ValueError(name)
-
-
 def admissible_asymptotic_indices(lat: Lattice, n_max: int):
     """Indices 2^L < N <= n_max that are representable and fill shells
     exactly; 2^L < N keeps the rate of the map N = 2^(L(aR+1)) positive."""
-    if lat.dim == 1:
-        return list(range(3, n_max + 1, 2))
-    filled = set(shell_prefix(lat, n_max)[0]) & _representable_set(lat, n_max)
-    return sorted(n for n in filled if n > 2**lat.dim)
+    ns = sublattice_indices(lat, n_max)
+    if lat.dim > 1:  # every odd N fills the shells of Z1
+        ns &= set(shell_prefix(lat, n_max)[0])
+    return sorted(n for n in ns if n > 2**lat.dim)
 
 
 def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0.0):
@@ -175,7 +145,7 @@ def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0
     l = lat.dim
     ns = list(n_sequence)
     n_max = max([1, *ns])
-    representable = _representable_set(lat, n_max)
+    representable = sublattice_indices(lat, n_max)
     if l > 1:  # Z1's ball of N points spans norms up to N^2/4: closed forms below
         running, weights = shell_prefix(lat, n_max)
     rows = []
@@ -226,11 +196,11 @@ def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0
 # ---------------------------------------------------------------------------
 
 
-def admissible_design_indices(lat_name: str, n_max: int, n_min: int = 3):
-    """Indices for which a full labeling design builds and verifies."""
+def admissible_design_indices(lat_name: str, n_max: int):
+    """Indices 3 <= N <= n_max for which a full labeling design builds and verifies."""
     lat = get_lattice(lat_name)
     out = []
-    for n in range(n_min, n_max + 1):
+    for n in range(3, n_max + 1):
         try:
             find_params(lat, n)
         except MdlqError:
@@ -286,7 +256,6 @@ def figure_data(kind: str, **kwargs):
 
     if kind == "fig9":
         header = ["curve", "N_reported", "N_actual", "beta", "R", "d0", "ds", "excess"]
-        nv_product = float(kwargs.get("nv_product", 1.0))
         a2_ns = kwargs.get("a2_indices")
         if a2_ns is None:
             a2_ns = admissible_design_indices("A2", int(kwargs.get("n_max", 100)))
@@ -299,9 +268,8 @@ def figure_data(kind: str, **kwargs):
             for n in ns:
                 lab = build_design(lat.name, n)
                 l = lat.dim
-                # Constant N * nu(beta Lambda) along the curve = constant rate.
-                target = nv_product if name == "A2" else math.sqrt(nv_product)
-                beta = (target / (n * lat.fundamental_volume)) ** (1.0 / l)
+                # Constant N * nu(beta Lambda) = 1 along the curve = constant rate.
+                beta = (1.0 / (n * lat.fundamental_volume)) ** (1.0 / l)
                 sand = bound_sandwich(lab, beta)
                 if not sand.holds():
                     raise MdlqError(f"bound sandwich violated for {name} N={n}")

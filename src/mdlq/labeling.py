@@ -175,12 +175,10 @@ def _row(lat: Lattice, rep, edge) -> Row:
 def base_edge_set(sub: SimilarSublattice):
     """The N shortest undirected sublattice edges {0, p}.
 
-    Returns ``(endpoints, shell_hist, kmax)``: the list of far endpoints in
-    parent coordinates (the zero edge included as the origin), the histogram
-    B_i of unnormalized parent-shell indices, and the largest shell index
-    used.  Partial shells are completed with whole +- pairs, smallest
-    canonical endpoint first; an odd number of leftover slots cannot keep the
-    set negation-closed and raises AsymmetricEdgeSet.
+    Returns the sorted far endpoints in parent coordinates (the zero edge
+    included as the origin).  Partial shells are completed with whole +-
+    pairs, smallest canonical endpoint first; an odd number of leftover slots
+    cannot keep the set negation-closed and raises AsymmetricEdgeSet.
     """
     lat = sub.lattice
     n = sub.index
@@ -191,7 +189,6 @@ def base_edge_set(sub: SimilarSublattice):
     last = by_norm.pop(kmax)
     full = [u for pts in by_norm.values() for u in pts]
     need = n - len(full)
-    hist = {i: len(pts) for i, pts in sorted(by_norm.items())}
     if need == len(last):
         chosen = last
     else:
@@ -206,9 +203,7 @@ def base_edge_set(sub: SimilarSublattice):
         chosen = []
         for u in order[: need // 2]:
             chosen.extend([u, _neg(u)])
-    hist[kmax] = len(chosen)
-    endpoints = sorted(sub.from_sub_coords(u) for u in full + chosen)
-    return endpoints, hist, kmax
+    return sorted(sub.from_sub_coords(u) for u in full + chosen)
 
 
 def _relocate(sub: SimilarSublattice, lam: np.ndarray, delta: np.ndarray):
@@ -541,7 +536,7 @@ def build_labeling(
             f"labeling requires an odd index (got N={sub.index}); even indices "
             "put points on coset boundaries and break the pairing structure"
         )
-    endpoints, _, _ = base_edge_set(sub)
+    endpoints = base_edge_set(sub)
     if sub.index > 1:
         # Negation closure of the edge set (positive-length classes in pairs).
         eps = set(endpoints)
@@ -565,7 +560,7 @@ def build_labeling(
             if check:
                 lab.verify_properties()
             return lab
-        except (SizeMismatch, PropertyCheckFailed) as err:
+        except SizeMismatch as err:
             last_err = err
             if anchors is not None:
                 break

@@ -224,13 +224,3 @@ def filled_shell(running, n: int):
     k = bisect_left(running, n)
     return k if k < len(running) and running[k] == n else None
 
-
-def fills_shells(lat: Lattice, n: int):
-    """Return K if n equals the number of lattice points in the first K shells.
-
-    Returns None when no such K exists; designs used in the asymptotic sweeps
-    are restricted to indices with this property.
-    """
-    if lat.dim == 1:  # S(m) = 2*floor(sqrt(m)) + 1: every odd n fills shells at K = m^2.
-        return ((n - 1) // 2) ** 2 if n > 0 and n % 2 else None
-    return filled_shell(shell_prefix(lat, n)[0], n)

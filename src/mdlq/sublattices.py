@@ -21,6 +21,11 @@ Families (parameters follow the generator constructions for each lattice):
 * Z8: params (a, b, c, d); columns of Gt are the orbit of
   v = (a,0,b,0,c,0,d,0) under the order-16 matrix group, N = s^4.
 
+``_FAMILIES`` holds these norm forms N(params) and the odd-index rule once:
+``build_sublattice`` checks explicit params against them, and one
+lexicographic enumeration of nonnegative params gives both ``find_params``
+(the first vector of norm N) and ``sublattice_indices`` (the set of norms).
+
 The nearest sublattice point has one rule in two forms: the scalar
 ``nearest2`` on Python ints and ``bulk_nearest2`` on arrays.  Both read the
 same cached constants, ``cell_offsets`` on A2 and ``tie_side`` in the cubic
@@ -33,9 +38,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,30 +115,82 @@ def _gtilde(lat: Lattice, params) -> np.ndarray:
     raise ValueError(f"unsupported lattice {name}")
 
 
+class _Family(NamedTuple):
+    arity: int
+    form: str  # the index N in terms of the parameters
+    norm: Callable  # the same on Python ints or int64 arrays
+    bound: Callable  # no nonnegative params of norm <= n exceed bound(n)
+    odd: bool  # whether N must be odd
+
+
+def _sumsq(*params):
+    return sum(p * p for p in params)
+
+
+# On A2 the params (a, b) with a < 0 <= b have the nonnegative twin (b - a, b)
+# of the same norm, and a^2 - ab + b^2 >= 3 max(a, b)^2 / 4 for a, b >= 0.
+_FAMILIES = {
+    "Z1": _Family(1, "n", lambda n: n, lambda n: n, True),
+    "Z2": _Family(2, "a^2 + b^2", _sumsq, math.isqrt, True),
+    "A2": _Family(
+        2,
+        "a^2 - ab + b^2",
+        lambda a, b: a * a - a * b + b * b,
+        lambda n: math.isqrt(4 * n // 3),
+        False,
+    ),
+    "Z4": _Family(
+        4,
+        "(a^2 + b^2 + c^2 + d^2)^2",
+        lambda *p: _sumsq(*p) ** 2,
+        lambda n: math.isqrt(math.isqrt(n)),
+        True,
+    ),
+    "Z8": _Family(
+        4,
+        "(a^2 + b^2 + c^2 + d^2)^4",
+        lambda *p: _sumsq(*p) ** 4,
+        lambda n: math.isqrt(math.isqrt(math.isqrt(n))),
+        False,
+    ),
+}
+_BLOCK = 1 << 16  # parameter vectors per block of the enumeration
+
+
+def _admits(fam: _Family, n):
+    """The index rule: N >= 1, and N odd where the family needs it (on ints or arrays)."""
+    return (n >= 1) & (n % 2 == 1 if fam.odd else True)
+
+
 def _check_params(lat: Lattice, params):
-    name = lat.name
-    if name == "Z1":
-        if len(params) != 1:
-            raise InadmissibleIndex("Z1 takes a single parameter n")
-        if params[0] < 1 or params[0] % 2 == 0:
-            raise InadmissibleIndex(f"Z1 index must be odd and positive, got {params[0]}")
-    elif name in ("Z2", "A2"):
-        if len(params) != 2:
-            raise InadmissibleIndex(f"{name} takes parameters (a, b)")
-        if name == "Z2":
-            n = params[0] ** 2 + params[1] ** 2
-            if n % 2 == 0:
-                raise InadmissibleIndex(f"Z2 index must be odd, got {n}")
-        if params[0] ** 2 - (params[0] * params[1] if name == "A2" else 0) + params[1] ** 2 < 1:
-            raise InadmissibleIndex("index must be positive")
-    elif name in ("Z4", "Z8"):
-        if len(params) != 4:
-            raise InadmissibleIndex(f"{name} takes parameters (a, b, c, d)")
-        s = sum(p * p for p in params)
-        if s < 1:
-            raise InadmissibleIndex("index must be positive")
-        if name == "Z4" and s % 2 == 0:
-            raise InadmissibleIndex(f"Z4 requires an odd perfect-square index, got {s**2}")
+    fam = _FAMILIES[lat.name]
+    if len(params) != fam.arity:
+        raise InadmissibleIndex(f"{lat.name} takes {fam.arity} parameters, got {len(params)}")
+    n = fam.norm(*params)
+    if not _admits(fam, n):
+        odd = "odd and " if fam.odd else ""
+        raise InadmissibleIndex(f"{lat.name} index {fam.form} must be {odd}positive, got {n}")
+
+
+def _param_blocks(lat: Lattice, n_max: int):
+    """Every nonnegative parameter vector whose index N <= n_max the family
+    admits, in lexicographic order: (params, norms) blocks of int64 arrays."""
+    if n_max >= 2**55:  # Z8's box corners reach norm 256 n_max, in int64
+        raise InvalidInput(f"index {n_max} is beyond the int64 parameter search")
+    fam = _FAMILIES[lat.name]
+    shape = (fam.bound(max(n_max, 0)) + 1,) * fam.arity
+    size = math.prod(shape)
+    for start in range(0, size, _BLOCK):
+        flat = np.arange(start, min(start + _BLOCK, size))
+        params = np.stack(np.unravel_index(flat, shape), axis=1)
+        norms = fam.norm(*params.T)
+        keep = _admits(fam, norms) & (norms <= n_max)
+        yield params[keep], norms[keep]
+
+
+def sublattice_indices(lat: Lattice, n_max: int) -> set:
+    """All indices N <= n_max at which ``lat`` has a similar sublattice."""
+    return set(np.concatenate([norms for _, norms in _param_blocks(lat, n_max)]).tolist())
 
 
 @dataclass(frozen=True)
@@ -349,67 +408,18 @@ def build_sublattice(lat: Lattice, params) -> SimilarSublattice:
 
 
 def find_params(lat: Lattice, n: int):
-    """Lexicographically smallest admissible parameters for index n.
-
-    Nonnegative representations are preferred; the search box is the obvious
-    coordinate bound for each quadratic form.
-    """
-    if n < 1:
-        raise NoRepresentation(f"index must be positive, got {n}")
-    name = lat.name
-    if name == "Z1":
-        if n % 2 == 0:
-            raise NoRepresentation(f"Z1 index must be odd, got {n}")
-        return (n,)
-    if name == "Z2":
-        if n % 2 == 0:
-            raise NoRepresentation(f"Z2 index must be odd, got {n}")
-        r = math.isqrt(n)
-        cands = [(a, b) for a in range(r + 1) for b in range(r + 1) if a * a + b * b == n]
-        if not cands:
-            raise NoRepresentation(f"{n} is not a sum of two squares")
-        return min(cands)
-    if name == "A2":
-        r = math.isqrt(4 * n // 3) + 1
-        nonneg = [
-            (a, b) for a in range(r + 1) for b in range(r + 1) if a * a - a * b + b * b == n
-        ]
-        if nonneg:
-            return min(nonneg)
-        cands = [
-            (a, b)
-            for a in range(-r, r + 1)
-            for b in range(-r, r + 1)
-            if a * a - a * b + b * b == n
-        ]
-        if not cands:
-            raise NoRepresentation(f"{n} is not of the form a^2 - a*b + b^2")
-        return min(cands)
-    if name == "Z4":
-        s = math.isqrt(n)
-        if s * s != n or s % 2 == 0:
-            raise NoRepresentation(f"Z4 index must be an odd perfect square, got {n}")
-        return _four_squares(s)
-    if name == "Z8":
-        s = math.isqrt(math.isqrt(n))
-        if s**4 != n:
-            raise NoRepresentation(f"Z8 index must be a fourth power, got {n}")
-        return _four_squares(s)
-    raise NoRepresentation(f"unsupported lattice {name}")
-
-
-def _four_squares(s: int):
-    r = math.isqrt(s)
-    for a in range(r + 1):
-        for b in range(r + 1):
-            for c in range(r + 1):
-                rest = s - a * a - b * b - c * c
-                if rest < 0:
-                    break
-                d = math.isqrt(rest)
-                if d * d == rest:
-                    return (a, b, c, d)
-    raise NoRepresentation(f"no four-square representation of {s}")
+    """Lexicographically smallest nonnegative parameters of index n;
+    NoRepresentation if there are none."""
+    for params, norms in _param_blocks(lat, n):
+        hit = np.flatnonzero(norms == n)
+        if hit.size:
+            return tuple(params[hit[0]].tolist())
+    fam = _FAMILIES[lat.name]
+    odd = "odd " if fam.odd else ""
+    raise NoRepresentation(
+        f"{lat.name} has no sublattice of index {n}: "
+        f"its indices are the {odd}values of {fam.form} at nonnegative integers"
+    )
 
 
 def design_sublattice(lat_name: str, index: int | None = None, params=None) -> SimilarSublattice:

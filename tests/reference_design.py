@@ -85,7 +85,7 @@ def brute_force_min_cost(sub: SimilarSublattice) -> Fraction:
     nonzero edge classes; each pairing costs 2 * d_s(p, [k]).
     """
     lat = sub.lattice
-    endpoints, _, _ = base_edge_set(sub)
+    endpoints = base_edge_set(sub)
     reps = [r for r in sub.voronoi_reps if any(r)]
     pairs = sorted({max(r, _neg(r)) for r in reps})
     keys = sorted({class_key(p) for p in endpoints if any(p)})

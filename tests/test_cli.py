@@ -341,6 +341,7 @@ def test_verify_names_the_failed_property(tmp_path, capsys):
         (["simulate", "--lattice", "A2", "--index", "7", "--source", "gauss:x"], "gauss:x"),
         (["design", "--lattice", "A2", "--params", "5,x"], "5,x"),
         (["design", "--lattice", "Z1", "--params", str(10**22 + 1)], "int64"),
+        (["design", "--lattice", "Z1", "--index", str(10**22 + 1)], "int64"),
     ],
 )
 def test_malformed_source_or_params_is_invalid_input(capsys, argv, text):

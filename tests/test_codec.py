@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ def test_nearest_half_integer_ties_cubic(z1, z2):
     assert _nearest(z1, (0.5,)) == (0,)
     assert _nearest(z1, (-0.5,)) == (-1,)
     assert _nearest(z2, (1.5, -2.5)) == (1, -3)
+
+
+def test_nearest_cubic_rounding_is_exact(z1):
+    # Rounding x - 1/2 in floating point took -1/2 + 2^-54 to -1 and an odd x
+    # in [2^52, 2^53) to x - 1; the half-integers and their neighbours too.
+    xs = [-0.5 + 2**-54, 0.5 - 2**-54, 2.0**52 + 1, 2.0**53 - 1, -(2.0**52) - 1, 2.0**52 - 0.5]
+    halves = [k + 0.5 for k in (-(2**40), -3, -1, 0, 2, 2**51 - 1)]
+    xs += halves + [float(np.nextafter(h, d)) for h in halves for d in (-np.inf, np.inf)]
+    want = [math.ceil(Fraction(x) - Fraction(1, 2)) for x in xs]  # exact, half down
+    assert want[:6] == [0, 0, 2**52 + 1, 2**53 - 1, -(2**52) - 1, 2**52 - 1]
+    assert bulk_nearest(z1, np.array(xs)[:, None]).ravel().tolist() == want
+    lab = design("Z1", 3)
+    for x, w in zip(xs, want):
+        assert encode_vector(ScaledDesign(lab), (x,)) == lab.encode((w,))
 
 
 def _brute_nearest(lat, xs):

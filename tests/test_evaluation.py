@@ -192,9 +192,7 @@ def test_fig1_table():
 
 
 def test_fig9_constant_rate_and_hexagonal_gain():
-    header, rows = figure_data(
-        "fig9", a2_indices=[7, 13, 31, 49], z_indices=[3, 5, 7], nv_product=1.0
-    )
+    header, rows = figure_data("fig9", a2_indices=[7, 13, 31, 49], z_indices=[3, 5, 7])
     a2_rows = [r for r in rows if r[0] == "A2"]
     z_rows = [r for r in rows if r[0] == "Z"]
     lat_a2 = get_lattice("A2")
@@ -247,4 +245,4 @@ def test_design_report(lab31):
 
 def test_admissible_design_indices_small():
     # 9 = 3^2 + 0^2 gives the (rotated) 3Z^2 sublattice, a valid tie-free design.
-    assert admissible_design_indices("Z2", 15, n_min=5) == [5, 9, 13]
+    assert admissible_design_indices("Z2", 15) == [5, 9, 13]

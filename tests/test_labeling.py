@@ -17,8 +17,10 @@ from mdlq.errors import (
     SizeMismatch,
     ZeroEdge,
 )
+from mdlq.evaluation import edge_histogram
 from mdlq.labeling import (
     DirectedEdge,
+    Labeling,
     _coset_orbits,
     _neg,
     _relocate,
@@ -146,25 +148,22 @@ def test_select_point_inverts_direction_rule(lab31):
 # -- base edge set ------------------------------------------------------------------
 
 
-def test_base_edge_set_a2_31():
-    sub = design_sublattice("A2", 31, params=(5, -1))
-    endpoints, hist, kmax = base_edge_set(sub)
+def test_base_edge_set_a2_31(lab31):
+    endpoints = base_edge_set(lab31.sub)
     assert len(endpoints) == 31
-    assert hist == {0: 1, 1: 6, 3: 6, 4: 6, 7: 12}
-    assert kmax == 7
+    assert edge_histogram(lab31)["B"] == {0: 1, 1: 6, 3: 6, 4: 6, 7: 12}
     eps = set(endpoints)
     assert all(_neg(p) in eps for p in endpoints)
 
 
 def test_base_edge_set_n1():
-    sub = design_sublattice("A2", 1)
-    endpoints, hist, kmax = base_edge_set(sub)
-    assert endpoints == [(0, 0)] and hist == {0: 1} and kmax == 0
+    assert base_edge_set(design_sublattice("A2", 1)) == [(0, 0)]
+    assert edge_histogram(design("A2", 1))["B"] == {0: 1}
 
 
 def test_base_edge_set_z2_5():
     sub = design_sublattice("Z2", 5)
-    endpoints, _, _ = base_edge_set(sub)
+    endpoints = base_edge_set(sub)
     nonzero = [p for p in endpoints if any(p)]
     assert len(nonzero) == 4
     assert all(sub.lattice.qshell(p) == 5 for p in nonzero)
@@ -172,9 +171,10 @@ def test_base_edge_set_z2_5():
 
 def test_base_edge_set_partial_shell_keeps_pairs():
     sub = design_sublattice("Z8", 81)
-    endpoints, hist, kmax = base_edge_set(sub)
+    endpoints = base_edge_set(sub)
     assert len(endpoints) == 81
-    assert kmax == 2 and hist[2] == 64  # 64 of the 112 shell-2 points
+    hist = edge_histogram(design("Z8", 81))
+    assert hist["K"] == 2 and hist["B"][2] == 64  # 64 of the 112 shell-2 points
     eps = set(endpoints)
     assert all(_neg(p) in eps for p in endpoints)
 
@@ -232,7 +232,7 @@ def test_closest_edge_z2_brute():
 def test_relocate_matches_scalar_oracle(name, n):
     sub = design_sublattice(name, n)
     lat = sub.lattice
-    keys = sorted({class_key(p) for p in base_edge_set(sub)[0]})  # the zero class too
+    keys = sorted({class_key(p) for p in base_edge_set(sub)})  # the zero class too
     for lam in sub.voronoi_reps:
         w, ds2 = _relocate(sub, np.array([lam]), np.array(keys))
         for k, wk, q in zip(keys, map(tuple, w.tolist()), ds2.tolist()):
@@ -277,7 +277,7 @@ def test_group_reduction_matches_full_assignment(name, n):
     # Independent oracle: the unreduced pair<->class problem solved by scipy.
     sub = design_sublattice(name, n, params=(5, -1) if (name, n) == ("A2", 31) else None)
     lat = sub.lattice
-    endpoints, _, _ = base_edge_set(sub)
+    endpoints = base_edge_set(sub)
     reps = [r for r in sub.voronoi_reps if any(r)]
     porbs = _coset_orbits(sub, minus_identity_group(lat), reps)
     keys = sorted({class_key(p) for p in endpoints if any(p)})
@@ -510,6 +510,22 @@ def test_hand_design_serialization_round_trip():
     hand = hand_labeling_a2_31()
     rebuilt = labeling_from_dict(hand.to_dict())
     assert rebuilt.table == hand.table
+
+
+def test_only_a_broken_orbit_falls_back_to_the_order_2_group(monkeypatch):
+    # A full-group design that fails its property check is an error, not a
+    # reason to return the {I, -I} design instead.
+    verify = Labeling.verify_properties
+
+    def fail_beyond_order_2(self):
+        if self.group.order > 2:
+            raise PropertyCheckFailed("forced", f"group of order {self.group.order}")
+        return verify(self)
+
+    monkeypatch.setattr(Labeling, "verify_properties", fail_beyond_order_2)
+    with pytest.raises(PropertyCheckFailed, match="forced"):
+        build_labeling(design_sublattice("A2", 31))
+    assert build_labeling(design_sublattice("A2", 49)).group.order == 2
 
 
 def test_serialization_round_trip_fallback_group():

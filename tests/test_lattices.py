@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdlq.errors import ResourceLimit
-from mdlq.lattices import fills_shells, get_lattice, sphere_second_moment
+from mdlq.lattices import filled_shell, get_lattice, shell_prefix, sphere_second_moment
 
 SQRT3 = math.sqrt(3.0)
 
@@ -55,6 +55,9 @@ def test_shell_growth_matches_ball_volume(name, n):
 
 
 def test_fills_shells(a2, z1):
+    def fills_shells(lat, n):
+        return filled_shell(shell_prefix(lat, n)[0], n)
+
     assert fills_shells(a2, 31) == 7
     assert fills_shells(a2, 7) == 1
     assert fills_shells(a2, 21) is None

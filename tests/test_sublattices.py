@@ -17,6 +17,7 @@ from mdlq.sublattices import (
     bulk_nearest2,
     design_sublattice,
     find_params,
+    sublattice_indices,
 )
 
 
@@ -128,6 +129,48 @@ def test_find_params_examples(a2, z2):
     assert find_params(get_lattice("Z1"), 7) == (7,)
     with pytest.raises(NoRepresentation):
         find_params(get_lattice("Z8"), 82)
+
+
+# Each family's index as a function of its params, written out, and whether
+# the index must be odd.
+_FORMS = {
+    "Z1": (lambda n: n, True),
+    "Z2": (lambda a, b: a * a + b * b, True),
+    "A2": (lambda a, b: a * a - a * b + b * b, False),
+    "Z4": (lambda a, b, c, d: (a * a + b * b + c * c + d * d) ** 2, True),
+    "Z8": (lambda a, b, c, d: (a * a + b * b + c * c + d * d) ** 4, False),
+}
+
+
+@pytest.mark.parametrize(
+    "name,arity,side,n_max,probes",
+    [
+        ("Z1", 1, 2001, 2000, range(-2, 2001)),
+        ("Z2", 2, 46, 2000, range(-2, 2001)),
+        ("A2", 2, 53, 2000, range(-2, 2001)),  # a^2 - ab + b^2 >= 3/4 max(a, b)^2
+        ("Z4", 4, 11, 10**4, [s * s + d for s in range(101) for d in (-1, 0, 1)]),
+        ("Z8", 4, 4, 15**4, [s**4 + d for s in range(16) for d in (-1, 0, 1)]),
+    ],
+    ids=["Z1", "Z2", "A2", "Z4", "Z8"],
+)
+def test_index_rule_matches_a_brute_force_box(name, arity, side, n_max, probes):
+    # The box [0, side)^arity holds every nonnegative params vector of index
+    # <= n_max; itertools.product walks it in lexicographic order.
+    lat = get_lattice(name)
+    form, odd = _FORMS[name]
+    first = {}
+    for p in itertools.product(range(side), repeat=arity):
+        n = form(*p)
+        if 1 <= n <= n_max and (n % 2 or not odd):
+            first.setdefault(n, p)
+    assert sublattice_indices(lat, n_max) == set(first)
+    for n in probes:
+        if n in first:
+            assert find_params(lat, n) == first[n]
+            assert build_sublattice(lat, first[n]).index == n  # the exact certificate
+        else:
+            with pytest.raises(NoRepresentation):
+                find_params(lat, n)
 
 
 def test_design_sublattice_index_mismatch():

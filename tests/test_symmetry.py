@@ -107,7 +107,7 @@ def test_orbit_sizes_divide_group_order(a2):
 def test_orbit_edges(a2):
     g = group_for(a2)
     sub = design_sublattice("A2", 7)
-    endpoints, _, _ = base_edge_set(sub)
+    endpoints = base_edge_set(sub)
     edges = [canonical_edge((0, 0), p) for p in endpoints if any(p)]
     act = lambda m, e: canonical_edge(_imatvec(m, e[0]), _imatvec(m, e[1]))  # noqa: E731
     reps = _orbit_reps(g, edges, act, g.order, "edge")
@@ -118,7 +118,7 @@ def test_distance_equivariance(a2):
     # d_s(g lam, g e) == d_s(lam, e) exactly; this licenses orbit reduction.
     g = group_for(a2)
     sub = design_sublattice("A2", 31, params=(5, -1))
-    endpoints, _, _ = base_edge_set(sub)
+    endpoints = base_edge_set(sub)
     edges = [canonical_edge((0, 0), p) for p in endpoints if any(p)][:6]
     pts = list(sub.voronoi_reps)[:8]
     for m in g.elements:

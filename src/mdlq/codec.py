@@ -7,12 +7,25 @@ arrays, and the orientation is the labeling's own per-row rule
 (``orientation_flip``), so the bulk path agrees with the scalar exact path
 everywhere except measure-zero ties of the real-input quantizer.
 
+``simulate`` draws each chunk of ``CHUNK`` samples whole, in the seeded
+order, and then runs it through the pipeline in blocks of ``BLOCK`` rows, so
+that a block's arrays stay in cache: source point, reach check, nearest
+lattice point (``bulk_nearest``), coset reduction, row lookup and
+orientation (``BulkEncoder.encode``), squared errors and label counts.  The
+coset reduction returns the nearest sublattice point in sublattice
+coordinates u as well, and the encoder reads each label's coordinates from a
+per-row table adj ends / N plus u, so the label keys need no further matrix
+product.  Each block writes its squared errors into one (3, m, L) array per
+chunk, summed once per plane, so the distortions do not depend on
+``BLOCK``.
+
 The side rates H1/H2 are the empirical entropies of the side labels.  Each
-chunk of ``CHUNK`` samples keeps only its distinct label rows and their
-counts (``_row_counts``: every row packed into one int64 in mixed radix and
-sorted once, in the lexicographic order of the rows); the chunk counts are
-merged by one weighted call of the same function, so the counts and the
-reported entropies are exact and the raw labels are dropped chunk by chunk.
+block keeps only its distinct label rows and their counts (``_row_counts``:
+every row packed into one int64 in mixed radix and sorted once, in the
+lexicographic order of the rows); the block counts are merged per chunk and
+the chunk counts at the end, each by one weighted call of the same function,
+so the counts and the reported entropies are exact and the raw labels are
+dropped block by block.
 
 Source kinds:
 
@@ -36,7 +49,7 @@ from .errors import InvalidInput, NotALabel, ResourceLimit
 from .evaluation import analytic_d0, analytic_excess, analytic_rates, cell_volume
 from .labeling import DirectedEdge, Labeling, orientation_flip
 from .lattices import Lattice, int_point
-from .sublattices import bulk_nearest2
+from .sublattices import bulk_nearest2_coords
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -177,9 +190,11 @@ def bulk_nearest(lat: Lattice, x: np.ndarray) -> np.ndarray:
 
 
 def bulk_coset_reduce(sub, lam: np.ndarray):
-    """Vectorized coset_reduce for an (n, L) int64 array of lattice points."""
-    vp = bulk_nearest2(sub, 2 * lam)
-    return vp, lam - vp
+    """Vectorized coset_reduce for an (n, L) int64 array of lattice points:
+    (u, vp, rep) with vp = Gt u the nearest sublattice point and rep = lam - vp."""
+    u = bulk_nearest2_coords(sub, 2 * lam)
+    vp = u @ sub.gtilde.T
+    return u, vp, lam - vp
 
 
 class BulkEncoder:
@@ -190,7 +205,7 @@ class BulkEncoder:
         self.sub = sub
         self.dim = sub.dim
         # Largest |coordinate| whose coset reduction (on doubled targets) and
-        # label keys stay far from int64 overflow.
+        # label coordinates stay far from int64 overflow.
         self.coord_bound = sub.t2_bound // 2
         # Rows are looked up by packing each V0(0) representative in mixed
         # radix: digits c + m in base 2m + 1 keep lexicographic order, so the
@@ -202,26 +217,31 @@ class BulkEncoder:
         if self.radix**self.dim >= 2**63:
             raise ResourceLimit(f"row keys in base {self.radix}^{self.dim} overflow int64")
         self.offset = m
+        self.place = self.radix ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
         self.keys = self._pack(self.reps)
-        # The labeling's rows as columns; ends[0] / ends[1] hold the endpoints.
+        # The labeling's rows as columns: row r of ``ends`` is the first
+        # endpoint of table row r and row r + len(reps) its second; ``coords``
+        # holds the same sublattice points in sublattice coordinates (adj
+        # ends / N, exact), so a label at vp = Gt u has coordinates coords + u.
         rows = [labeling.rows[r] for r in reps]
-        self.ends = np.array([[r.first for r in rows], [r.second for r in rows]], dtype=np.int64)
+        self.ends = np.array([r.first for r in rows] + [r.second for r in rows], dtype=np.int64)
+        self.coords = self.ends @ np.array(sub.adjugate, dtype=np.int64).T // sub.index
         self.axis, self.step, self.phase = np.array(
             [[r.axis for r in rows], [r.step for r in rows], [r.phase for r in rows]], dtype=np.int64
         )
 
     def _pack(self, rep: np.ndarray) -> np.ndarray:
-        key = rep[:, 0] + self.offset
-        for j in range(1, self.dim):
-            key = key * self.radix + (rep[:, j] + self.offset)
-        return key
+        """Row keys: the sum over j of (rep_j + m) * radix^(L - 1 - j)."""
+        return rep @ self.place + self.offset * int(self.place.sum())
 
     def _row_indices(self, rep: np.ndarray) -> np.ndarray:
-        rows = np.searchsorted(self.keys, self._pack(rep))
+        key = self._pack(rep)
+        rows = np.searchsorted(self.keys, key)
         np.minimum(rows, len(self.keys) - 1, out=rows)
-        # Out-of-range digits can alias another key, so compare the
-        # representatives themselves.
-        if not (self.reps[rows] == rep).all():
+        # Packing is one to one on digits in [-m, m], where every table
+        # representative lies; out-of-range digits could alias another key.
+        in_range = -self.offset <= rep.min(initial=0) <= rep.max(initial=0) <= self.offset
+        if not (in_range and (self.keys.take(rows) == key).all()):
             raise InvalidInput(
                 "coset representative outside the design's table "
                 "(lattice point beyond the int64 domain of the bulk encoder)"
@@ -229,12 +249,22 @@ class BulkEncoder:
         return rows
 
     def encode(self, lam: np.ndarray):
-        """Directed labels for an (n, L) int64 array; returns (E1, E2)."""
-        vp, rep = bulk_coset_reduce(self.sub, lam)
+        """Directed labels for an (n, L) int64 array: (E1, E2, U1, U2), the
+        two sublattice points in parent coordinates and the same points in
+        sublattice coordinates (Ei = Gt Ui)."""
+        u, vp, rep = bulk_coset_reduce(self.sub, lam)
         rows = self._row_indices(rep)
-        shift = vp[np.arange(len(vp)), self.axis[rows]]
-        flip = orientation_flip(self.phase[rows], self.step[rows], shift)
-        return self.ends[flip, rows] + vp, self.ends[1 - flip, rows] + vp
+        # ``take`` gathers: far cheaper than fancy indexing on these shapes.
+        at = np.arange(0, vp.size, self.dim) + self.axis.take(rows)
+        flip = orientation_flip(self.phase.take(rows), self.step.take(rows), vp.take(at))
+        first = rows + flip * len(self.reps)
+        second = rows + (1 - flip) * len(self.reps)
+        return (
+            self.ends.take(first, axis=0) + vp,
+            self.ends.take(second, axis=0) + vp,
+            self.coords.take(first, axis=0) + u,
+            self.coords.take(second, axis=0) + u,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +359,25 @@ def _row_counts(keys: np.ndarray, weights: np.ndarray | None = None):
             digit = col - lo
         packed = packed * base + digit
         size *= base
-    _, inverse = np.unique(packed, return_inverse=True)
-    # One source row per distinct key; equal keys are equal rows, so any
-    # copy will do.
-    some = np.empty(int(inverse.max()) + 1, dtype=np.intp)
-    some[inverse] = np.arange(len(keys))
-    counts = np.zeros(len(some), dtype=np.int64)
-    np.add.at(counts, inverse, 1 if weights is None else weights)
-    return keys[some], counts
+    order = np.argsort(packed)
+    packed = packed.take(order)
+    # A run of equal keys is one distinct row; equal keys are equal rows, so
+    # the first copy of each run will do.
+    first = np.empty(len(packed), dtype=bool)
+    first[0] = True
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if weights is None:
+        counts = np.diff(starts, append=len(packed))
+    else:
+        counts = np.add.reduceat(weights.take(order), starts)
+    return keys.take(order.take(starts), axis=0), counts
+
+
+def _merge_counts(parts):
+    """One (rows, counts) pair from a list of them: a weighted ``_row_counts``."""
+    rows, counts = map(np.concatenate, zip(*parts))
+    return _row_counts(rows, counts)
 
 
 def _entropy_bits(counts: np.ndarray, n: int) -> float:
@@ -347,6 +388,10 @@ def _entropy_bits(counts: np.ndarray, n: int) -> float:
 # Samples per chunk; part of the seeded output (each chunk draws from its own
 # substream), so changing it changes every report.
 CHUNK = 1 << 17
+# Rows per block of the pipeline that runs over each drawn chunk: few enough
+# that a block's int64 arrays stay in a core's L2 cache.  No result depends
+# on it.
+BLOCK = 1 << 13
 
 
 def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int) -> SimReport:
@@ -354,7 +399,8 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
 
     Deterministic for a fixed seed: chunk ``ci`` of ``CHUNK`` samples draws
     from its own substream ``default_rng([seed, ci])`` and results are
-    combined in chunk order.
+    combined in chunk order.  Each chunk is drawn whole and then runs through
+    the pipeline in blocks of ``BLOCK`` rows.
     """
     if n_samples < 1:
         raise InvalidInput(f"sample count must be at least 1, got {n_samples}")
@@ -364,54 +410,70 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
     dim = lat.dim
     beta = design.beta
     enc = BulkEncoder(lab)
-    basis = lat.basis
-    adj = np.array(sub.adjugate, dtype=np.int64)
+    # Integer rows are cast before the product so that it runs in BLAS, which
+    # an int64 @ float64 product does not.  Each entry of a row times a basis
+    # column has at most one inexact term (the bases are the identity and
+    # A2's [[1, -1/2], [0, sqrt(3)/2]]), so no order of the sum changes it.
+    embed = np.ascontiguousarray(lat.basis.T)
     period = int(source.param) if source.kind == "periods" else 0
     reps = np.array(sorted(sub.voronoi_reps), dtype=np.int64)
-    gt = sub.gtilde.astype(np.int64)
-
-    def label_keys(e):
-        u = (e @ adj.T) // sub.index  # exact sublattice coordinates
-        if source.kind == "periods":
-            u = np.remainder(u, period)
-        return u
 
     def run_chunk(ci: int):
+        """The chunk's three squared-error sums over dim and, per channel,
+        the label counts of each block.  Its draws and sums are freed on
+        return, before the caller merges the block counts."""
         m = min(CHUNK, n_samples - ci * CHUNK)
         rng = np.random.default_rng([seed, ci])
         if source.kind == "uniform":
-            x = rng.uniform(-source.param, source.param, (m, dim))
+            drawn = rng.uniform(-source.param, source.param, (m, dim))
         elif source.kind == "gauss":
-            x = rng.normal(0.0, source.param, (m, dim))
+            drawn = rng.normal(0.0, source.param, (m, dim))
         else:
             ridx = rng.integers(0, sub.index, m)
             grid = rng.integers(0, period, (m, dim))
-            lam0 = reps[ridx] + grid @ gt.T
             if lat.name == "A2":
                 off = _hex_cell_offsets(rng, m)
             else:
                 off = rng.uniform(-0.5, 0.5, (m, dim))
-            x = beta * ((lam0 @ basis.T) + off)
-        # Lattice-frame coordinates are at most twice the embedded ones.
-        reach = np.abs(x).max() / abs(beta)
-        if not reach <= enc.coord_bound / 2:
-            raise InvalidInput(
-                f"|x/beta| reaches {reach:.3g}, beyond the int64-safe "
-                f"bound {enc.coord_bound / 2:.3g} of this design"
-            )
-        lam = bulk_nearest(lat, x / beta)
-        e1, e2 = enc.encode(lam)
-        sq = [float(((x - beta * (y @ basis.T)) ** 2).sum()) / dim for y in (lam, e1, e2)]
-        return sq, _row_counts(label_keys(e1)), _row_counts(label_keys(e2))
+        # Squared errors of lam, E1 and E2; each plane is summed once, in the
+        # same order as one whole-chunk array.
+        sq = np.empty((3, m, dim))
+        blocks = ([], [])
+        for start in range(0, m, BLOCK):
+            b = slice(start, min(start + BLOCK, m))
+            if period:
+                lam0 = reps.take(ridx[b], axis=0) + grid[b] @ sub.gtilde.T
+                x = beta * ((lam0.astype(float) @ embed) + off[b])
+            else:
+                x = drawn[b]
+            # Lattice-frame coordinates are at most twice the embedded ones.
+            reach = np.abs(x).max() / abs(beta)
+            if not reach <= enc.coord_bound / 2:
+                raise InvalidInput(
+                    f"|x/beta| reaches {reach:.3g}, beyond the int64-safe "
+                    f"bound {enc.coord_bound / 2:.3g} of this design"
+                )
+            lam = bulk_nearest(lat, x / beta)
+            e1, e2, u1, u2 = enc.encode(lam)
+            for plane, y in zip(sq, (lam, e1, e2)):
+                np.square(x - beta * (y.astype(float) @ embed), out=plane[b])
+            for counted, u in zip(blocks, (u1, u2)):
+                if period:
+                    u -= u // period * period  # label statistics per period
+                counted.append(_row_counts(u))
+        return [float(plane.sum()) / dim for plane in sq], blocks
 
-    results = [run_chunk(ci) for ci in range((n_samples + CHUNK - 1) // CHUNK)]
-    d0, d1, d2 = (sum(r[0][i] for r in results) / n_samples for i in range(3))
+    sq_sums = []  # per chunk
+    found = ([], [])  # per channel and chunk: distinct label coordinates, counts
+    for ci in range((n_samples + CHUNK - 1) // CHUNK):
+        sums, blocks = run_chunk(ci)
+        sq_sums.append(sums)
+        for counted, chunks in zip(blocks, found):
+            chunks.append(_merge_counts(counted))
+            counted.clear()
 
-    def entropy(j):
-        rows = np.concatenate([r[j][0] for r in results])
-        counts = np.concatenate([r[j][1] for r in results])
-        return _entropy_bits(_row_counts(rows, counts)[1], n_samples)
-
+    d0, d1, d2 = (sum(s[i] for s in sq_sums) / n_samples for i in range(3))
+    h1, h2 = (_entropy_bits(_merge_counts(chunks)[1], n_samples) for chunks in found)
     r0, r = design.rates_analytic(source_entropy_bits(source, design))
     return SimReport(
         lattice=lat.name,
@@ -425,8 +487,8 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
         d1=d1,
         d2=d2,
         ds=0.5 * (d1 + d2),
-        h1=entropy(1) / dim,
-        h2=entropy(2) / dim,
+        h1=h1 / dim,
+        h2=h2 / dim,
         r0_analytic=r0,
         r_analytic=r,
         d0_analytic=design.d0_analytic(),

@@ -225,6 +225,10 @@ def build_design(lat_name: str, n: int, params=None) -> Labeling:
     return _design_cache[key]
 
 
+# The keywords each figure reads.
+_FIGURE_KEYWORDS = {"fig1": (), "fig9": ("a2_indices", "z_indices", "n_max"), "fig10": ("sweeps",)}
+
+
 def figure_data(kind: str, **kwargs):
     """Data tables behind the summary figures; returns (header, rows).
 
@@ -233,7 +237,15 @@ def figure_data(kind: str, **kwargs):
       constant product N * nu (constant rate); the Z curve reports the
       squared index, as the comparison convention requires.
     * ``fig10``: labeling excess vs per-dimension index for Z^1..Z^8.
+
+    A keyword the figure does not read raises ``InvalidInput``.
     """
+    if kind not in _FIGURE_KEYWORDS:
+        raise InvalidInput(f"unknown figure kind {kind!r}; expected fig1, fig9 or fig10")
+    unread = sorted(set(kwargs) - set(_FIGURE_KEYWORDS[kind]))
+    if unread:
+        takes = ", ".join(_FIGURE_KEYWORDS[kind]) or "no keywords"
+        raise InvalidInput(f"figure {kind} does not take {', '.join(unread)}; it takes {takes}")
     if kind == "fig1":
         header = ["L", "lattice", "G_lattice", "ratio_d0", "G_sphere", "ratio_ds"]
         g_z = get_lattice("Z1").second_moment()
@@ -312,9 +324,7 @@ def figure_data(kind: str, **kwargs):
                         sand.upper - sand.mid + excess,
                     ]
                 )
-        return header, rows
-
-    raise InvalidInput(f"unknown figure kind {kind!r}; expected fig1, fig9 or fig10")
+    return header, rows
 
 
 @dataclass

@@ -151,7 +151,7 @@ Row = namedtuple("Row", "first second axis step phase")
 
 def orientation_flip(phase, step, shift):
     """The one shift-dependent bit of a label, for Python ints and int64 arrays."""
-    return (phase + 2 * shift) // step % 2
+    return (phase + 2 * shift) // step & 1
 
 
 def _row(lat: Lattice, rep, edge) -> Row:

@@ -27,7 +27,8 @@ lexicographic enumeration of nonnegative params gives both ``find_params``
 (the first vector of norm N) and ``sublattice_indices`` (the set of norms).
 
 The nearest sublattice point has one rule in two forms: the scalar
-``nearest2`` on Python ints and ``bulk_nearest2`` on arrays.  Both read the
+``nearest2`` on Python ints and ``bulk_nearest2_coords`` on arrays, which
+returns sublattice coordinates u (``bulk_nearest2`` is Gt u).  Both read the
 same cached constants, ``cell_offsets`` on A2 and ``tie_side`` in the cubic
 frames.  The public scalar methods check their vectors with
 ``lattices.int_point`` on entry; the internal products take Python ints.
@@ -336,9 +337,10 @@ class SimilarSublattice:
         return Fraction(self.scale_sq) * self.lattice.covering_radius_sq()
 
 
-def bulk_nearest2(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
-    """``sub.nearest2`` for each row of an (n, L) integer array of doubled
-    targets, with the same tie rule.
+def bulk_nearest2_coords(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
+    """Sublattice coordinates u of ``sub.nearest2`` for each row of an (n, L)
+    integer array of doubled targets, with the same tie rule: the nearest
+    point is Gt u (``bulk_nearest2``).
 
     Only the sub-coordinates adj @ t2 can be large, and int64 holds them up to
     ``sub.t2_bound``; every later value lies near the target (and int64
@@ -348,13 +350,13 @@ def bulk_nearest2(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
     if not -sub.t2_bound <= t2.min(initial=0) <= t2.max(initial=0) <= sub.t2_bound:
         t2 = t2.astype(object)
     adj = np.array(sub.adjugate, dtype=t2.dtype)
-    gt = sub.gtilde.astype(t2.dtype)
     den = 2 * sub.index
     num = t2 @ adj.T  # sub-coordinates * 2N
     if sub.lattice.name == "A2":
         # The 4 floor candidates p0 + off, offsets in lexicographic order: the
         # first strict minimum of the distance is the lex smallest nearest point.
-        p0 = (num // den) @ gt.T
+        u0 = num // den
+        p0 = u0 @ sub.gtilde.T
         offs = np.array(sub.cell_offsets, dtype=t2.dtype)
         w0 = t2 - 2 * p0
         for k, off in enumerate(2 * offs):
@@ -366,7 +368,7 @@ def bulk_nearest2(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
                 upd = d < best
                 best[upd] = d[upd]
                 pick[upd] = k
-        return p0 + offs[pick]
+        return u0 + (offs @ adj.T // sub.index)[pick]
     # Orthogonal frame: distances separate over the sub-coordinates, so each
     # rounds on its own, half up, and a tie (num + N divisible by 2N) takes
     # the side given by ``sub.tie_side``.  At odd N a tie needs an odd
@@ -377,7 +379,14 @@ def bulk_nearest2(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
         ties = num == u * den
         if ties.any():
             u -= ties * np.array(sub.tie_side, dtype=u.dtype)
-    return u @ gt.T
+    return u
+
+
+def bulk_nearest2(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
+    """``sub.nearest2`` for each row of an (n, L) integer array of doubled
+    targets: Gt times ``bulk_nearest2_coords``, int64 within
+    ``sub.t2_bound`` and Python ints past it."""
+    return bulk_nearest2_coords(sub, t2) @ sub.gtilde.T
 
 
 def build_sublattice(lat: Lattice, params) -> SimilarSublattice:

@@ -78,7 +78,7 @@ def test_criterion_2_property_suite(sweep_designs):
         enc = BulkEncoder(lab)
         rng = np.random.default_rng(n)
         lam = rng.integers(-50, 50, size=(10_000, lab.lattice.dim)).astype(np.int64)
-        e1, e2 = enc.encode(lam)
+        e1, e2, _, _ = enc.encode(lam)
         for i in range(len(lam)):
             got = lab.decode_both((tuple(int(x) for x in e1[i]), tuple(int(x) for x in e2[i])))
             assert got == tuple(int(x) for x in lam[i])

@@ -2,13 +2,15 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mdlq import codec
 from mdlq.codec import (
     CHUNK,
     BulkEncoder,
@@ -202,7 +204,8 @@ def test_bulk_coset_reduce_matches_scalar(name, n):
     sub = lab.sub
     rng = np.random.default_rng(4)
     lam = rng.integers(-50, 50, size=(500, sub.dim)).astype(np.int64)
-    vp, rep = bulk_coset_reduce(sub, lam)
+    u, vp, rep = bulk_coset_reduce(sub, lam)
+    assert np.array_equal(u @ sub.gtilde.T, vp)
     for i in range(len(lam)):
         v, r = sub.coset_reduce(tuple(int(x) for x in lam[i]))
         assert tuple(int(x) for x in vp[i]) == v
@@ -215,7 +218,7 @@ def test_bulk_encoder_matches_scalar(name, n):
     enc = BulkEncoder(lab)
     rng = np.random.default_rng(5)
     lam = rng.integers(-30, 30, size=(400, lab.lattice.dim)).astype(np.int64)
-    e1, e2 = enc.encode(lam)
+    e1, e2, _, _ = enc.encode(lam)
     for i in range(len(lam)):
         de = lab.encode(tuple(int(x) for x in lam[i]))
         assert tuple(int(x) for x in e1[i]) == de.first
@@ -253,11 +256,29 @@ def test_bulk_scalar_and_direction_rule_agree(name, n, data):
     enc = _encoder(name, n)
     lab = design(name, n)
     pts = data.draw(_points(enc))
-    e1, e2 = enc.encode(np.array(pts, dtype=np.int64))
+    e1, e2, _, _ = enc.encode(np.array(pts, dtype=np.int64))
     for lam, p, q in zip(pts, e1.tolist(), e2.tolist()):
         bulk = DirectedEdge(tuple(p), tuple(q))
         assert bulk == lab.encode(lam) == direct_edge(lab.lattice, lab.alpha_u(lam), lam)
         assert lab.decode_both(bulk) == lam
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z4", 49), ("Z8", 81)])
+def test_label_coordinate_table(name, n):
+    """The encoder's label coordinates are (E @ adj^T) / N, exactly: its
+    table for every row in both orientations, and its labels of points
+    near the origin and near the int64 guard ``coord_bound``."""
+    enc = _encoder(name, n)
+    sub = enc.sub
+    adj = np.array(sub.adjugate, dtype=object)
+    assert len(enc.ends) == len(enc.coords) == 2 * sub.index
+    assert (enc.coords == enc.ends.astype(object) @ adj.T // sub.index).all()
+    rng = np.random.default_rng(13)
+    lam = rng.integers(-60, 60, size=(300, sub.dim))
+    lam = np.concatenate([lam, lam + enc.coord_bound // 2 - 60])
+    e1, e2, u1, u2 = enc.encode(lam)
+    for e, u in [(e1, u1), (e2, u2)]:
+        assert (e.astype(object) @ adj.T == sub.index * u.astype(object)).all()
 
 
 def test_bulk_encoder_rejects_foreign_representatives(lab31):
@@ -302,6 +323,36 @@ def test_row_counts_equal_row_sort(keys, data):
     assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
 
 
+# Rows that make ``_row_counts`` rank: two columns of range 2^40 cannot pack
+# into one int64, so the packed prefix is ranked; a column of range 2^64 cannot
+# pack even alone, so the column is ranked too.
+_RANKED_PREFIX = np.array([[0, 2**40], [2**40, 0], [0, 2**40], [2**40, 2**40]], dtype=np.int64)
+_RANKED_COLUMN = np.array([[5, -(2**63)], [5, 2**63 - 1], [-4, 0], [5, -(2**63)]], dtype=np.int64)
+
+
+@st.composite
+def _weighted_rows(draw):
+    keys = draw(_label_rows())
+    weights = draw(st.none() | st.lists(st.integers(1, 2**40), min_size=len(keys), max_size=len(keys)))
+    return keys, None if weights is None else np.array(weights, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_weighted_rows())
+@example(case=(_RANKED_PREFIX, None))
+@example(case=(_RANKED_PREFIX, np.array([3, 1, 4, 1], dtype=np.int64)))
+@example(case=(_RANKED_COLUMN, None))
+@example(case=(_RANKED_COLUMN, np.array([2**40, 7, 1, 2], dtype=np.int64)))
+def test_row_counts_match_row_unique(case):
+    keys, weights = case
+    want_rows, inverse = np.unique(keys, axis=0, return_inverse=True)
+    want = np.zeros(len(want_rows), dtype=np.int64)
+    np.add.at(want, inverse.ravel(), 1 if weights is None else weights)
+    rows, counts = _row_counts(keys, weights)
+    assert rows.dtype == counts.dtype == np.int64
+    assert np.array_equal(rows, want_rows) and np.array_equal(counts, want)
+
+
 def test_row_counts_single_row_and_all_zero_keys():
     rows, counts = _row_counts(np.array([[-3, 7]], dtype=np.int64))
     assert rows.tolist() == [[-3, 7]] and counts.tolist() == [1]
@@ -338,6 +389,40 @@ def test_simulate_degenerate_index_one():
     rep = simulate(d, SourceSpec.parse("uniform:3"), 20_000, seed=1)
     assert rep.d1 == pytest.approx(rep.d0, abs=1e-12)
     assert rep.d2 == pytest.approx(rep.d0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name,n,source", [("Z8", 81, "periods:2"), ("A2", 31, "periods:20"), ("Z1", 5, "uniform:2")]
+)
+def test_simulate_does_not_depend_on_block_size(monkeypatch, name, n, source):
+    d = ScaledDesign(design(name, n), beta=0.7)
+    src = SourceSpec.parse(source)
+
+    def report(block, n_samples):
+        monkeypatch.setattr(codec, "BLOCK", block)
+        return simulate(d, src, n_samples, seed=3).to_dict()
+
+    # 150 001 samples end in a partial chunk, and in a partial block below CHUNK.
+    want = report(CHUNK, 150_001)
+    for block in (1000, 8191):
+        assert report(block, 150_001) == want
+    # A block of one row costs about 0.2 ms, so it runs on fewer samples.
+    assert report(1, 3_001) == report(CHUNK, 3_001)
+
+
+def test_simulate_peak_memory():
+    # tracemalloc peak for these 2^18 samples: about 81 MB while every stage
+    # ran on whole 2^17-row chunks, about 51 MB in blocks.
+    d = ScaledDesign(design("Z8", 81), beta=0.7)
+    src = SourceSpec.parse("periods:2")
+    simulate(d, src, 1000, seed=1)  # the design's cached tables are built untraced
+    tracemalloc.start()
+    try:
+        simulate(d, src, 1 << 18, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 66e6
 
 
 def test_simulate_deterministic(lab31):

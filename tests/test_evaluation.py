@@ -230,6 +230,20 @@ def test_figure_unknown_kind():
         figure_data("fig2")
 
 
+@pytest.mark.parametrize(
+    "kind,kwargs",
+    [
+        ("fig10", {"sweep": {"Z1": [3]}}),  # ``sweeps`` misspelt
+        ("fig9", {"a2_indices": [7], "nv_product": 2.0}),  # a removed keyword
+        ("fig1", {"n_max": 50}),
+    ],
+)
+def test_figure_rejects_keywords_it_does_not_read(kind, kwargs):
+    # These used to return the default table without a word.
+    with pytest.raises(InvalidInput, match=f"figure {kind} does not take {list(kwargs)[-1]}"):
+        figure_data(kind, **kwargs)
+
+
 # -- design report ----------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from mdlq.sublattices import (
     _imatvec,
     build_sublattice,
     bulk_nearest2,
+    bulk_nearest2_coords,
     design_sublattice,
     find_params,
     sublattice_indices,
@@ -316,6 +317,27 @@ def test_bulk_nearest2_matches_scalar(data):
     out = bulk_nearest2(sub, far)
     assert out.dtype == object
     assert [tuple(p) for p in out.tolist()] == [sub.nearest2(tuple(t)) for t in far.tolist()]
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z4", 49), ("Z8", 81)])
+def test_nearest2_coords_give_nearest2(name, n):
+    """Gt times the sublattice coordinates is ``bulk_nearest2`` and the scalar
+    rule, on int64 targets and on the same targets shifted by a sublattice
+    point far past ``t2_bound``, whose coordinates shift by exactly its own."""
+    sub = _cached_design(name, n)
+    rng = np.random.default_rng(12)
+    t2 = rng.integers(-400, 400, size=(300, sub.dim))
+    w = [2**70 + 3] + [-(2**66) + k for k in range(1, sub.dim)]
+    far = t2.astype(object) + np.array([2 * x for x in sub.from_sub_coords(w)])
+    assert np.abs(far).max() > sub.t2_bound
+    u = bulk_nearest2_coords(sub, t2)
+    u_far = bulk_nearest2_coords(sub, far)
+    assert u.dtype == np.int64 and u_far.dtype == object
+    assert (u_far - u == np.array(w, dtype=object)).all()
+    for targets, coords in [(t2, u), (far, u_far)]:
+        points = (coords @ sub.gtilde.T).tolist()
+        assert points == bulk_nearest2(sub, targets).tolist()
+        assert list(map(tuple, points)) == [sub.nearest2(t) for t in targets.tolist()]
 
 
 @pytest.mark.parametrize("n", [7, 31])

@@ -2,19 +2,22 @@
 reconstruct, and Monte-Carlo simulate rates and distortions.
 
 The simulator is vectorized with numpy; every combinatorial step (coset
-reduction, row lookup, orientation) uses exact integer arithmetic on int64
-arrays, and the orientation is the labeling's own per-row rule
-(``orientation_flip``), so the bulk path agrees with the scalar exact path
-everywhere except measure-zero ties of the real-input quantizer.
+index, orientation) uses exact integer arithmetic on int64 arrays, and the
+orientation is the labeling's own per-row rule (``orientation_flip``), so
+the bulk path agrees with the scalar exact path everywhere except
+measure-zero ties of the real-input quantizer.
 
 ``simulate`` draws each chunk of ``CHUNK`` samples whole, in the seeded
 order, and then runs it through the pipeline in blocks of ``BLOCK`` rows, so
 that a block's arrays stay in cache: source point, reach check, nearest
-lattice point (``bulk_nearest``), coset reduction, row lookup and
-orientation (``BulkEncoder.encode``), squared errors and label counts.  The
-coset reduction returns the nearest sublattice point in sublattice
-coordinates u as well, and the encoder reads each label's coordinates from a
-per-row table adj ends / N plus u, so the label keys need no further matrix
+lattice point (``bulk_nearest``), coset reduction and orientation
+(``BulkEncoder.encode``), squared errors and label counts.  The coset
+reduction (``bulk_coset_reduce``) reads the sublattice's one coset index
+(``sublattices.bulk_coset_index``), which is also the point's row in the
+encoder's tables: the representative is the row's V0(0) point, vp = lam -
+rep is the nearest sublattice point, and its sublattice coordinates are
+u = adj vp / N.  The encoder reads each label's coordinates from a per-row
+table adj ends / N plus u, so the label keys need no further matrix
 product.  Each block writes its squared errors into one (3, m, L) array per
 chunk, summed once per plane, so the distortions do not depend on
 ``BLOCK``.
@@ -45,11 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NotALabel, ResourceLimit
+from .errors import InvalidInput, NotALabel
 from .evaluation import analytic_d0, analytic_excess, analytic_rates, cell_volume
 from .labeling import DirectedEdge, Labeling, orientation_flip
 from .lattices import Lattice, int_point
-from .sublattices import bulk_nearest2_coords
+from .sublattices import bulk_coset_index
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -189,40 +192,40 @@ def bulk_nearest(lat: Lattice, x: np.ndarray) -> np.ndarray:
     return np.stack([f1.astype(np.int64) + (pick >> 1), f2.astype(np.int64) + (pick & 1)], axis=1)
 
 
-def bulk_coset_reduce(sub, lam: np.ndarray):
-    """Vectorized coset_reduce for an (n, L) int64 array of lattice points:
-    (u, vp, rep) with vp = Gt u the nearest sublattice point and rep = lam - vp."""
-    u = bulk_nearest2_coords(sub, 2 * lam)
-    vp = u @ sub.gtilde.T
-    return u, vp, lam - vp
+def bulk_coset_reduce(sub, lam: np.ndarray, reps: np.ndarray):
+    """Vectorized coset_reduce for an (n, L) int64 array of lattice points,
+    given the coset representatives ``reps`` in coset-index order: (idx, u, vp)
+    with idx the coset index, vp = lam - reps[idx] the nearest sublattice point
+    and u its sublattice coordinates adj vp / N (vp = Gt u).
+
+    adj vp stays in int64 while |lam| <= t2_bound / 2; past that bound vp
+    is formed on Python ints in an object array, so every int64 row is exact."""
+    idx = bulk_coset_index(sub, lam)
+    bound = sub.t2_bound // 2
+    if not -bound <= lam.min(initial=0) <= lam.max(initial=0) <= bound:
+        lam = lam.astype(object)
+    vp = lam - reps.take(idx, axis=0)
+    u = vp @ np.array(sub.adjugate, dtype=vp.dtype).T // sub.index
+    return idx, u, vp
 
 
 class BulkEncoder:
-    """Vectorized encode for a labeling (any dimension; int64 ranges)."""
+    """Vectorized encode for a labeling (any dimension, any int64 rows)."""
 
     def __init__(self, labeling: Labeling):
         sub = labeling.sub
         self.sub = sub
         self.dim = sub.dim
-        # Largest |coordinate| whose coset reduction (on doubled targets) and
-        # label coordinates stay far from int64 overflow.
+        # Largest |coordinate| whose coset reduction and label coordinates
+        # stay in int64; past it they run on Python ints.
         self.coord_bound = sub.t2_bound // 2
-        # Rows are looked up by packing each V0(0) representative in mixed
-        # radix: digits c + m in base 2m + 1 keep lexicographic order, so the
-        # packed keys of the sorted representatives are sorted as well.
-        reps = sorted(labeling.table)
+        # The tables are in coset-index order, so a point's row is its index.
+        # Row r of ``ends`` is the first endpoint of table row r and row
+        # r + N its second; ``coords`` holds the same sublattice points in
+        # sublattice coordinates (adj ends / N, exact), so a label at
+        # vp = Gt u has coordinates coords + u.
+        reps = sub.coset_reps
         self.reps = np.array(reps, dtype=np.int64)
-        m = int(np.abs(self.reps).max())
-        self.radix = 2 * m + 1
-        if self.radix**self.dim >= 2**63:
-            raise ResourceLimit(f"row keys in base {self.radix}^{self.dim} overflow int64")
-        self.offset = m
-        self.place = self.radix ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
-        self.keys = self._pack(self.reps)
-        # The labeling's rows as columns: row r of ``ends`` is the first
-        # endpoint of table row r and row r + len(reps) its second; ``coords``
-        # holds the same sublattice points in sublattice coordinates (adj
-        # ends / N, exact), so a label at vp = Gt u has coordinates coords + u.
         rows = [labeling.rows[r] for r in reps]
         self.ends = np.array([r.first for r in rows] + [r.second for r in rows], dtype=np.int64)
         self.coords = self.ends @ np.array(sub.adjugate, dtype=np.int64).T // sub.index
@@ -230,33 +233,15 @@ class BulkEncoder:
             [[r.axis for r in rows], [r.step for r in rows], [r.phase for r in rows]], dtype=np.int64
         )
 
-    def _pack(self, rep: np.ndarray) -> np.ndarray:
-        """Row keys: the sum over j of (rep_j + m) * radix^(L - 1 - j)."""
-        return rep @ self.place + self.offset * int(self.place.sum())
-
-    def _row_indices(self, rep: np.ndarray) -> np.ndarray:
-        key = self._pack(rep)
-        rows = np.searchsorted(self.keys, key)
-        np.minimum(rows, len(self.keys) - 1, out=rows)
-        # Packing is one to one on digits in [-m, m], where every table
-        # representative lies; out-of-range digits could alias another key.
-        in_range = -self.offset <= rep.min(initial=0) <= rep.max(initial=0) <= self.offset
-        if not (in_range and (self.keys.take(rows) == key).all()):
-            raise InvalidInput(
-                "coset representative outside the design's table "
-                "(lattice point beyond the int64 domain of the bulk encoder)"
-            )
-        return rows
-
     def encode(self, lam: np.ndarray):
         """Directed labels for an (n, L) int64 array: (E1, E2, U1, U2), the
         two sublattice points in parent coordinates and the same points in
         sublattice coordinates (Ei = Gt Ui)."""
-        u, vp, rep = bulk_coset_reduce(self.sub, lam)
-        rows = self._row_indices(rep)
+        rows, u, vp = bulk_coset_reduce(self.sub, lam, self.reps)
         # ``take`` gathers: far cheaper than fancy indexing on these shapes.
         at = np.arange(0, vp.size, self.dim) + self.axis.take(rows)
         flip = orientation_flip(self.phase.take(rows), self.step.take(rows), vp.take(at))
+        flip = np.asarray(flip, dtype=np.int64)  # 0 or 1, also from an object vp
         first = rows + flip * len(self.reps)
         second = rows + (1 - flip) * len(self.reps)
         return (
@@ -404,6 +389,10 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
     """
     if n_samples < 1:
         raise InvalidInput(f"sample count must be at least 1, got {n_samples}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be an integer >= 0, got {seed}")
+    # The analytic rates come first: they check the scale (``cell_volume``).
+    r0, r = design.rates_analytic(source_entropy_bits(source, design))
     lab = design.labeling
     lat = design.lattice
     sub = lab.sub
@@ -474,7 +463,6 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
 
     d0, d1, d2 = (sum(s[i] for s in sq_sums) / n_samples for i in range(3))
     h1, h2 = (_entropy_bits(_merge_counts(chunks)[1], n_samples) for chunks in found)
-    r0, r = design.rates_analytic(source_entropy_bits(source, design))
     return SimReport(
         lattice=lat.name,
         params=tuple(sub.params),

@@ -25,8 +25,17 @@ from .sublattices import design_sublattice, find_params, sublattice_indices
 
 
 def cell_volume(lat: Lattice, beta: float) -> float:
-    """Volume nu(beta Lambda) of a Voronoi cell of the scaled lattice."""
-    return beta**lat.dim * lat.fundamental_volume
+    """Volume nu(beta Lambda) of a Voronoi cell of the scaled lattice;
+    InvalidInput unless it lies in the normal float range."""
+    try:
+        vol = beta**lat.dim * lat.fundamental_volume
+    except OverflowError:
+        vol = math.inf
+    if not sys.float_info.min <= vol < math.inf:
+        raise InvalidInput(
+            f"beta={beta} puts the cell volume beta^{lat.dim} nu outside the normal float range"
+        )
+    return vol
 
 
 def analytic_d0(lat: Lattice, beta: float) -> float:
@@ -168,7 +177,7 @@ def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0
             d0 = analytic_d0(lat, beta)
             ratio = d_tilde * 2.0 ** (2.0 * rate * (1.0 - a)) / 2.0 ** (2.0 * h_bits)
             d0_norm = d0 * 2.0 ** (2.0 * rate * (1.0 + a)) * 4.0 / 2.0 ** (2.0 * h_bits)
-        except ArithmeticError:  # beta^L or 2^(2h) overflows, or 2^(2h) underflows to 0
+        except (ArithmeticError, InvalidInput):  # beta^L or 2^(2h) leaves the float range
             d0 = ratio = d0_norm = math.nan
         # Outside the normal float range these values have lost their precision.
         values = (beta * beta, d_tilde, d0, ratio, d0_norm)

@@ -44,7 +44,7 @@ from .errors import (
     ZeroEdge,
 )
 from .lattices import Lattice, get_lattice, int_point, shell_prefix
-from .sublattices import SimilarSublattice, _imatvec, bulk_nearest2
+from .sublattices import SimilarSublattice, _imatvec, bulk_coset_index, bulk_nearest2
 from .symmetry import SymmetryGroup, group_for, minus_identity_group
 
 
@@ -252,11 +252,11 @@ def _orbit_reps(group: SymmetryGroup, items, act, size: int, what: str):
 
 def _coset_orbits(sub: SimilarSublattice, group: SymmetryGroup, reps):
     """Orbits of the nonzero Voronoi representatives under the group action
-    on cosets (apply the matrix, then reduce back into V0(0)); every image
-    is reduced in one bulk call."""
+    on cosets (apply the matrix, then take the V0(0) point of the image's
+    coset); every image is indexed in one bulk call."""
     pts = np.array(reps, dtype=np.int64).reshape(-1, sub.dim)
     moved = (pts @ np.array(group.elements).transpose(0, 2, 1)).reshape(-1, sub.dim)
-    images = map(tuple, (moved - bulk_nearest2(sub, 2 * moved)).tolist())
+    images = map(sub.coset_reps.__getitem__, bulk_coset_index(sub, moved).tolist())
     act = dict(zip(itertools.product(group.elements, reps), images))
     return _orbit_reps(group, reps, lambda g, r: act[g, r], group.order, "Voronoi point")
 
@@ -505,8 +505,7 @@ def _expand_anchors(sub: SimilarSublattice, group: SymmetryGroup, anchors):
             keys.append(class_key(_imatvec(g, k0)))
     # alpha* commutes with the group action up to the coset shift, so
     # relocating for the reduced representatives is exact.
-    lam = np.array(moved)
-    reps = lam - bulk_nearest2(sub, 2 * lam)
+    reps = np.array(sub.coset_reps)[bulk_coset_index(sub, np.array(moved))]
     delta = np.array(keys)
     w, ds2 = _relocate(sub, reps, delta)
     table = {}

@@ -26,12 +26,19 @@ Families (parameters follow the generator constructions for each lattice):
 lexicographic enumeration of nonnegative params gives both ``find_params``
 (the first vector of norm N) and ``sublattice_indices`` (the set of norms).
 
-The nearest sublattice point has one rule in two forms: the scalar
-``nearest2`` on Python ints and ``bulk_nearest2_coords`` on arrays, which
-returns sublattice coordinates u (``bulk_nearest2`` is Gt u).  Both read the
-same cached constants, ``cell_offsets`` on A2 and ``tie_side`` in the cubic
-frames.  The public scalar methods check their vectors with
-``lattices.int_point`` on entry; the internal products take Python ints.
+Every coset decision reads one exact coset index: with the Smith normal
+form U Gt V = diag(d) (``_smith_rows``, on Python ints), the index of v is
+the mixed-radix number of the digits (U_i v) mod d_i over the invariant
+factors d_i > 1 (``coset_form``), 0 exactly on the sublattice, and
+``coset_reps`` lists the V0(0) point of each index.  ``coset_reduce`` and
+``contains`` read it for one vector, ``bulk_coset_index`` for the rows of
+an array.  The nearest sublattice point to a target that need not be a
+lattice point (edge relocation, the Voronoi filter) is
+``bulk_nearest2_coords``, in sublattice coordinates u (``bulk_nearest2`` is
+Gt u and the scalar ``nearest2`` one row of it); it reads ``cell_offsets``
+on A2 and ``tie_side`` in the cubic frames.  The public scalar methods check
+their vectors with ``lattices.int_point`` on entry; the internal products
+take Python ints.
 """
 
 from __future__ import annotations
@@ -60,6 +67,42 @@ def _imatmul(a, b):
     """Exact product of two matrices of Python ints, as a tuple of rows."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+
+
+def _smith_rows(m):
+    """(U, d) for a nonsingular square matrix m of Python ints: U unimodular
+    and d the invariant factors (d_i divides d_i+1) of its Smith normal form
+    U m V = diag(d).  The column operations V are applied but not kept."""
+    a = [list(row) for row in m]
+    n = len(a)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(n):
+        while True:
+            # The smallest nonzero entry of the trailing block is the pivot.
+            _, i, j = min((abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, n) if a[i][j])
+            a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, n):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            for j in range(t + 1, n):
+                q = a[t][j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+            if any(a[t][t + 1 :]):
+                continue
+            # A row with a remainder below the pivot, or an entry the pivot
+            # does not divide, goes into row t, whose next reduction leaves
+            # a remainder smaller than the pivot.
+            bad = next((i for i in range(t + 1, n) if any(x % p for x in a[i])), None)
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+    return u, [abs(a[t][t]) for t in range(n)]
 
 
 def z8_gamma_matrices():
@@ -219,8 +262,8 @@ class SimilarSublattice:
     @cached_property
     def cell_offsets(self):
         """The 4 corners i*g0 + j*g1 (i, j in {0, 1}) of the cell spanned by
-        the columns g0, g1 of Gt, lexicographically sorted (A2's nearest-point
-        candidates around the floor cell)."""
+        the columns g0, g1 of Gt, lexicographically sorted: the candidates
+        that ``bulk_nearest2_coords`` adds to the floor-cell corner on A2."""
         (a, b), (c, d) = self.gtilde_rows
         return tuple(sorted([(0, 0), (a, c), (b, d), (a + b, c + d)]))
 
@@ -233,7 +276,9 @@ class SimilarSublattice:
         rounds up, minus this bit, so a tie steps along g only where that
         lowers the point in lexicographic order.  Lexicographic order is
         compatible with addition, so the ties of all sub-coordinates resolve
-        independently to the lexicographically smallest tied point."""
+        independently to the lexicographically smallest tied point.  A shift
+        by a sublattice point shifts every tied point alike, so the rule keeps
+        one point of each coset in V0(0), even at even N."""
         return tuple(int(next(x for x in col if x) > 0) for col in zip(*self.gtilde_rows))
 
     @cached_property
@@ -263,51 +308,64 @@ class SimilarSublattice:
         every adjugate row times such a target stays below 2^62."""
         return 2**62 // max(sum(abs(x) for x in row) for row in self.adjugate)
 
+    @cached_property
+    def coset_form(self):
+        """(rows, factors): the invariant factors d_i > 1 of Gt and, for each,
+        the row U_i of the Smith form U Gt V = diag(d), reduced mod d_i.
+
+        v is on the sublattice exactly when every U_i v is divisible by d_i, so
+        the digits (U_i v) mod d_i name the coset of v.  Checked here: the
+        factors multiply to N, and every row of U Gt is 0 mod its d_i."""
+        u, d = _smith_rows(self.gtilde_rows)
+        keep = [i for i in range(self.dim) if d[i] > 1]
+        rows = tuple(tuple(x % d[i] for x in u[i]) for i in keep)
+        factors = tuple(d[i] for i in keep)
+        if math.prod(factors) != self.index or any(
+            x % f for row, f in zip(_imatmul(rows, self.gtilde_rows), factors) for x in row
+        ):
+            raise NotSimilar(f"Smith form {d} does not fit the index {self.index}")
+        return rows, factors
+
+    def _coset_index(self, v) -> int:
+        """Coset index of the Python-int vector v: the digits of ``coset_form``
+        in mixed radix, the first most significant; 0 on the sublattice."""
+        rows, factors = self.coset_form
+        idx = 0
+        for x, d in zip(_imatvec(rows, v), factors):
+            idx = idx * d + x % d
+        return idx
+
+    @cached_property
+    def coset_reps(self):
+        """The V0(0) point of each coset, by coset index; NotSimilar unless
+        the N points of V0(0) have N distinct indices."""
+        reps = self.voronoi_reps
+        idx = bulk_coset_index(self, np.array(reps, dtype=np.int64)).tolist()
+        if len(set(idx)) != self.index:
+            raise NotSimilar("two points of the discrete Voronoi set share a coset index")
+        return tuple(rep for _, rep in sorted(zip(idx, reps)))
+
     # -- membership and coordinates ------------------------------------------
 
     def contains(self, v) -> bool:
-        w = _imatvec(self.adjugate, int_point(v, self.dim))
-        return all(x % self.index == 0 for x in w)
+        return self._coset_index(int_point(v, self.dim)) == 0
 
     def from_sub_coords(self, u):
         return _imatvec(self.gtilde_rows, int_point(u, self.dim))
 
-    # -- nearest sublattice point ---------------------------------------------
+    def coset_reduce(self, v):
+        """Split v = v' + rep with rep the V0(0) point of the coset of v, so
+        that v' is the nearest sublattice point to v."""
+        v = int_point(v, self.dim)
+        rep = self.coset_reps[self._coset_index(v)]
+        return tuple(map(operator.sub, v, rep)), rep
 
     def nearest2(self, t2):
-        """Nearest sublattice point to the half-integer target t2/2.
-
-        ``t2`` is a doubled parent-coordinate vector (integers), so the true
-        target may sit on cell boundaries; all comparisons are exact and ties
-        go to the candidate with lexicographically smallest parent coords.
-        """
-        t2 = int_point(t2, self.dim)
-        num = _imatvec(self.adjugate, t2)  # sub-coords * 2N
-        den = 2 * self.index
-        if self.lattice.name == "A2":
-            # The floor-cell corner plus the cell offsets in lexicographic
-            # order: the first strict minimum is the lex smallest nearest point.
-            x0, y0 = _imatvec(self.gtilde_rows, [x // den for x in num])
-            best = None
-            for ox, oy in self.cell_offsets:
-                x, y = t2[0] - 2 * (x0 + ox), t2[1] - 2 * (y0 + oy)
-                d = x * (x - y) + y * y  # qshell((x, y))
-                if best is None or d < best:
-                    best, point = d, (x0 + ox, y0 + oy)
-            return point
-        # Orthogonal frame: each sub-coordinate rounds on its own, half up,
-        # and a tie takes the side given by ``tie_side``.
-        u = []
-        for x, side in zip(num, self.tie_side):
-            q, r = divmod(x + self.index, den)
-            u.append(q - side if r == 0 else q)
-        return _imatvec(self.gtilde_rows, u)
-
-    def coset_reduce(self, v):
-        """Split v = v' + rep with v' the nearest sublattice point to v."""
-        v = int_point(v, self.dim)
-        vp = self.nearest2(tuple(2 * x for x in v))
-        return vp, tuple(map(operator.sub, v, vp))
+        """Nearest sublattice point to the half-integer target t2/2, for a
+        doubled parent-coordinate vector of integers: one row of
+        ``bulk_nearest2``, on Python ints."""
+        t2 = np.array([int_point(t2, self.dim)], dtype=object)
+        return tuple(bulk_nearest2(self, t2)[0].tolist())
 
     # -- discrete Voronoi set --------------------------------------------------
 
@@ -338,9 +396,9 @@ class SimilarSublattice:
 
 
 def bulk_nearest2_coords(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
-    """Sublattice coordinates u of ``sub.nearest2`` for each row of an (n, L)
-    integer array of doubled targets, with the same tie rule: the nearest
-    point is Gt u (``bulk_nearest2``).
+    """Sublattice coordinates u of the nearest sublattice point Gt u
+    (``bulk_nearest2``) to each row t2/2 of an (n, L) integer array of doubled
+    targets; ties go to the lexicographically smallest point.
 
     Only the sub-coordinates adj @ t2 can be large, and int64 holds them up to
     ``sub.t2_bound``; every later value lies near the target (and int64
@@ -383,10 +441,30 @@ def bulk_nearest2_coords(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
 
 
 def bulk_nearest2(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
-    """``sub.nearest2`` for each row of an (n, L) integer array of doubled
-    targets: Gt times ``bulk_nearest2_coords``, int64 within
+    """The nearest sublattice point to each row t2/2 of an (n, L) integer
+    array of doubled targets: Gt times ``bulk_nearest2_coords``, int64 within
     ``sub.t2_bound`` and Python ints past it."""
     return bulk_nearest2_coords(sub, t2) @ sub.gtilde.T
+
+
+def bulk_coset_index(sub: SimilarSublattice, lam: np.ndarray) -> np.ndarray:
+    """The coset index of each row of an (n, L) integer array, as int64.
+
+    A digit U_i x is at most L d_i max|x|.  Where that could leave int64, the
+    rows are reduced mod N first, which keeps their cosets (N Z^L lies in the
+    sublattice: Gt adj = N I).  Each x mod d is taken as x - (x // d) d, which
+    numpy computes several times faster than x % d."""
+    rows, factors = sub.coset_form
+    reach = max(-int(lam.min(initial=0)), int(lam.max(initial=0)))
+    if reach * sub.dim * max(factors, default=1) >= 2**62:
+        lam = lam % sub.index
+    u = np.array(rows, dtype=np.int64).reshape(-1, sub.dim)
+    digits = u @ np.asarray(lam, dtype=np.int64).T
+    idx = np.zeros(len(lam), dtype=np.int64)
+    for x, d in zip(digits, factors):
+        idx *= d
+        idx += x - x // d * d
+    return idx
 
 
 def build_sublattice(lat: Lattice, params) -> SimilarSublattice:

@@ -1,6 +1,7 @@
 """Test references: the hand-constructed labeling of the hexagonal N=31
-design, the scalar side distortion and edge relocation, the exhaustive
-optimum of small designs, the assignment solver that moves every potential
+design, the scalar side distortion, the brute-force nearest sublattice
+point and the edge relocation built on it, the exhaustive optimum of small
+designs, the assignment solver that moves every potential
 at every step, and the asymptotic sweep computed one index at a time.
 
 This is the classic worked assignment for the index-31 hexagonal design in
@@ -15,9 +16,10 @@ lattice coordinates (x, y) for x + y*w.
 
 import math
 import numbers
+import operator
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -61,19 +63,38 @@ def ds_cost(lat: Lattice, lam, edge) -> Fraction:
     return Fraction(lat.qshell(_sub(lam, a)) + lat.qshell(_sub(lam, b)), 2 * lat.dim)
 
 
+def brute_nearest2(sub: SimilarSublattice, t2):
+    """Nearest sublattice point to the half-integer target t2/2 by exhaustive
+    search, by distance and then lexicographic order: over the
+    {floor, floor + 1}^L box of sub-coordinates in an orthogonal frame, where
+    distances separate over them, and over a 6 x 6 box on A2.  It reads only
+    Gt, its adjugate and the Gram matrix, none of the package's nearest-point
+    or coset rules."""
+    lat = sub.lattice
+    n = sub.index
+    num = [sum(map(operator.mul, row, t2)) for row in sub.adjugate]
+    base = [x // (2 * n) for x in num]
+    best = None
+    span = range(-2, 4) if lat.name == "A2" else range(2)
+    for off in product(span, repeat=lat.dim):
+        u = [b + o for b, o in zip(base, off)]
+        p = tuple(sum(map(operator.mul, row, u)) for row in sub.gtilde_rows)
+        w = [t - 2 * c for t, c in zip(t2, p)]
+        key = (sum(x * sum(map(operator.mul, row, w)) for x, row in zip(w, lat.gram2_rows)), p)
+        if best is None or key < best:
+            best = key
+    return best[1]
+
+
 def closest_edge_in_class(sub: SimilarSublattice, lam, delta):
     """Relocate the class with difference ``delta`` closest to ``lam``, one
-    point at a time with the scalar ``nearest2``: the oracle of the bulk
+    point at a time with ``brute_nearest2``: the oracle of the bulk
     ``mdlq.labeling._relocate``.
 
     The optimal shift places the midpoint at the sublattice point nearest to
     lam - delta/2; the result does not depend on the sign of delta.
     """
-    if not any(delta):
-        vp, _ = sub.coset_reduce(lam)
-        return (vp, vp)
-    t2 = tuple(2 * x - d for x, d in zip(lam, delta))
-    w = sub.nearest2(t2)
+    w = brute_nearest2(sub, tuple(2 * x - d for x, d in zip(lam, delta)))
     return canonical_edge(w, _add(w, delta))
 
 
@@ -191,7 +212,7 @@ def asymptotic_rows_per_index(lat: Lattice, n_sequence, a: float, h_bits: float 
             d0 = analytic_d0(lat, beta)
             ratio = d_tilde * 2.0 ** (2.0 * rate * (1.0 - a)) / 2.0 ** (2.0 * h_bits)
             d0_norm = d0 * 2.0 ** (2.0 * rate * (1.0 + a)) * 4.0 / 2.0 ** (2.0 * h_bits)
-        except ArithmeticError:
+        except (ArithmeticError, InvalidInput):  # cell_volume rejects beta^L out of range
             d0 = ratio = d0_norm = math.nan
         values = (beta * beta, d_tilde, d0, ratio, d0_norm)
         if not all(sys.float_info.min <= v < math.inf for v in values):

@@ -361,6 +361,23 @@ def test_asymptotic_entropy_beyond_float_range_rejected(capsys, entropy):
     assert err.startswith("InvalidInput: entropy") and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--beta", "1e200"],
+        ["eval", "--beta", "1e-200"],
+        ["simulate", "--beta", "1e300", "--source", "uniform:1e300", "--samples", "10"],
+        ["simulate", "--beta", "1", "--samples", "10", "--seed", "-1"],
+    ],
+)
+def test_scale_or_seed_out_of_range_is_invalid_input(capsys, argv):
+    # beta^L overflowed in a traceback or underflowed to a "math domain
+    # error", and numpy rejected the negative seed with its own ValueError.
+    code, out, err = run(capsys, *argv[:1], "--lattice", "A2", "--index", "7", *argv[1:])
+    assert code == 1
+    assert err.startswith("InvalidInput:") and out == ""
+
+
 @pytest.fixture(scope="module")
 def a2_31_design(tmp_path_factory):
     path = tmp_path_factory.mktemp("design") / "a2_31.json"

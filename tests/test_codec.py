@@ -204,12 +204,12 @@ def test_bulk_coset_reduce_matches_scalar(name, n):
     sub = lab.sub
     rng = np.random.default_rng(4)
     lam = rng.integers(-50, 50, size=(500, sub.dim)).astype(np.int64)
-    u, vp, rep = bulk_coset_reduce(sub, lam)
+    idx, u, vp = bulk_coset_reduce(sub, lam, np.array(sub.coset_reps))
     assert np.array_equal(u @ sub.gtilde.T, vp)
     for i in range(len(lam)):
         v, r = sub.coset_reduce(tuple(int(x) for x in lam[i]))
         assert tuple(int(x) for x in vp[i]) == v
-        assert tuple(int(x) for x in rep[i]) == r
+        assert sub.coset_reps[idx[i]] == r
 
 
 @pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z1", 7), ("Z4", 9), ("Z8", 81)])
@@ -281,14 +281,23 @@ def test_label_coordinate_table(name, n):
         assert (e.astype(object) @ adj.T == sub.index * u.astype(object)).all()
 
 
-def test_bulk_encoder_rejects_foreign_representatives(lab31):
-    enc = BulkEncoder(lab31)
-    # Neither point is in V0(0): the first packs to no row key, the second
-    # (a carry between digits) packs to the key of the first table row.
-    alias = enc.reps[0] + np.array([1, -enc.radix])
-    for rep in ([40, 0], alias):
-        with pytest.raises(InvalidInput):
-            enc._row_indices(np.array([rep], dtype=np.int64))
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z4", 49), ("Z8", 81)])
+def test_bulk_encoder_exact_past_coord_bound(name, n):
+    """Rows past ``coord_bound`` and near +-2^62 run on Python ints: the
+    labels equal the scalar encoder's and U = adj E / N exactly."""
+    enc = _encoder(name, n)
+    lab, sub = design(name, n), enc.sub
+    rng = np.random.default_rng(14)
+    k = rng.integers(0, 1000, size=(40, sub.dim))
+    sign = rng.choice([-1, 1], size=k.shape)
+    lam = np.concatenate([sign * (enc.coord_bound + k), sign * (2**62 - k), sign * (2**62 + k)])
+    assert np.abs(lam).max() > enc.coord_bound
+    e1, e2, u1, u2 = enc.encode(lam)
+    adj = np.array(sub.adjugate, dtype=object)
+    for e, u in [(e1, u1), (e2, u2)]:
+        assert (e.astype(object) @ adj.T == sub.index * u.astype(object)).all()
+    for p, a, b in zip(lam.tolist(), e1.tolist(), e2.tolist()):
+        assert lab.encode(p) == DirectedEdge(tuple(a), tuple(b))
 
 
 # -- label entropy --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -8,18 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdlq.errors import InadmissibleIndex, InvalidInput, NoRepresentation, NotALabel
+from mdlq.codec import bulk_coset_reduce
+from mdlq.errors import InadmissibleIndex, InvalidInput, NoRepresentation, NotALabel, NotSimilar
 from mdlq.lattices import get_lattice, int_point
 from mdlq.sublattices import (
     _imatmul,
     _imatvec,
+    _smith_rows,
     build_sublattice,
+    bulk_coset_index,
     bulk_nearest2,
     bulk_nearest2_coords,
     design_sublattice,
     find_params,
     sublattice_indices,
 )
+
+from .reference_design import brute_nearest2
 
 
 def test_build_a2_31_reference_frame(a2):
@@ -249,24 +255,122 @@ def test_partition_property(name, n):
         assert tuple(v + r for v, r in zip(vp, rep)) == lam
 
 
-def _brute_nearest2(sub, t2):
-    """Exhaustive search by distance, then lexicographic order: over the
-    {floor, floor + 1}^L box of sub-coordinates in an orthogonal frame, where
-    distances separate over them, and over a 6 x 6 box on A2."""
-    lat = sub.lattice
-    n = sub.index
-    num = [sum(sub.adjugate[i][j] * t2[j] for j in range(lat.dim)) for i in range(lat.dim)]
-    base = [x // (2 * n) for x in num]
-    best = None
-    span = range(-2, 4) if lat.name == "A2" else range(2)
-    for off in itertools.product(span, repeat=lat.dim):
-        u = tuple(b + o for b, o in zip(base, off))
-        p = sub.from_sub_coords(u)
-        w = tuple(t - 2 * c for t, c in zip(t2, p))
-        key = (lat.qshell(w), p)
-        if best is None or key < best:
-            best = key
-    return best[1]
+# -- coset index ------------------------------------------------------------------
+
+
+def _exact_det(m):
+    """Determinant of a square matrix of ints, by exact Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for t in range(len(a)):
+        p = next((i for i in range(t, len(a)) if a[i][t]), None)
+        if p is None:
+            return 0
+        if p != t:
+            a[t], a[p] = a[p], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, len(a)):
+            f = a[i][t] / a[t][t]
+            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return det
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_smith_rows_give_the_quotient_group(data):
+    """For a random nonsingular integer matrix m: U is unimodular, the factors
+    divide each other and multiply to |det m|, and row i of U m is 0 mod d_i.
+    Then v -> (U_i v mod d_i) maps Z^L / m Z^L one to one onto the product of
+    the Z/d_i, since both have |det m| elements."""
+    dim = data.draw(st.integers(1, 4))
+    entry = st.integers(-9, 9)
+    m = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    det = _exact_det(m)
+    if det == 0:
+        return
+    u, d = _smith_rows(m)
+    assert abs(_exact_det(u)) == 1
+    assert math.prod(d) == abs(det) and all(x >= 1 for x in d)
+    assert all(b % a == 0 for a, b in zip(d, d[1:]))
+    assert all(x % f == 0 for row, f in zip(_imatmul(u, m), d) for x in row)
+
+
+@pytest.mark.parametrize(
+    "name,n,factors",
+    [
+        ("A2", 31, (31,)),
+        ("Z2", 25, (5, 5)),
+        ("A2", 49, (7, 7)),
+        ("Z4", 49, (7, 7)),
+        ("Z8", 81, (3, 3, 3, 3)),
+        ("Z8", 625, (5, 5, 5, 5)),
+        ("Z8", 16, (2, 2, 2, 2)),
+    ],
+)
+def test_invariant_factors(name, n, factors):
+    sub = design_sublattice(name, n)
+    rows, got = sub.coset_form
+    assert got == factors and len(rows) == len(factors)
+    assert all(0 <= x < f for row, f in zip(rows, factors) for x in row)
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 25), ("Z4", 49), ("Z8", 16)])
+def test_coset_reps_by_index(name, n):
+    """coset_reps lists V0(0) in index order, the sublattice has index 0, and
+    a shift by a sublattice point keeps the index."""
+    sub = design_sublattice(name, n)
+    reps = sub.coset_reps
+    assert sorted(reps) == list(sub.voronoi_reps) and not any(reps[0])
+    idx = bulk_coset_index(sub, np.array(reps))
+    assert idx.tolist() == list(range(n))
+    shift = np.array(sub.from_sub_coords(range(1, sub.dim + 1)))
+    assert (bulk_coset_index(sub, np.array(reps) + shift) == idx).all()
+    assert all(sub.contains(r) == (i == 0) for i, r in enumerate(reps))
+
+
+def test_coset_reps_reject_a_shared_index(monkeypatch):
+    """Two V0(0) points in one coset (a duplicate index) raise NotSimilar."""
+    sub = design_sublattice("Z2", 13)
+    reps = list(sub.voronoi_reps)
+    reps[1] = tuple(map(operator.add, reps[2], sub.from_sub_coords((1, 0))))
+    monkeypatch.setitem(sub.__dict__, "voronoi_reps", tuple(reps))
+    with pytest.raises(NotSimilar, match="share a coset index"):
+        sub.coset_reps
+
+
+_COSET_DESIGNS = [("A2", 31), ("Z2", 13), ("Z4", 49), ("Z8", 81), ("Z8", 16), ("A2", 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coset_reduce_matches_brute_force(data):
+    """Scalar ``coset_reduce`` and ``codec.bulk_coset_reduce`` against the
+    brute-force nearest point, on random lattice points and on midpoints of
+    two sublattice points that are lattice points; at even N (Z8/16, A2/4)
+    many of those are ties."""
+    name, n = data.draw(st.sampled_from(_COSET_DESIGNS))
+    sub = _cached_design(name, n)
+    dim = sub.dim
+
+    def vec(lo, hi):
+        return st.lists(st.integers(lo, hi), min_size=dim, max_size=dim)
+
+    pts = data.draw(st.lists(vec(-60, 60), max_size=6))
+    for _ in range(data.draw(st.integers(1, 6))):
+        a = sub.from_sub_coords(data.draw(vec(-2, 2)))
+        b = sub.from_sub_coords(data.draw(vec(-2, 2)))
+        if all((x + y) % 2 == 0 for x, y in zip(a, b)):
+            pts.append([(x + y) // 2 for x, y in zip(a, b)])
+    if not pts:
+        return
+    lam = np.array(pts, dtype=np.int64)
+    idx, u, vp = bulk_coset_reduce(sub, lam, np.array(sub.coset_reps))
+    assert (u @ sub.gtilde.T == vp).all()
+    for p, v in zip(pts, vp.tolist()):
+        want = brute_nearest2(sub, [2 * x for x in p])
+        assert sub.coset_reduce(p) == (want, tuple(x - y for x, y in zip(p, want)))
+        assert tuple(v) == want
 
 
 @pytest.mark.parametrize("name,n", [("A2", 31), ("A2", 9), ("Z2", 13), ("Z4", 9), ("Z8", 81)])
@@ -280,7 +384,7 @@ def test_nearest_sublattice_point_vs_brute(name, n):
     for u, w in rng.integers(-3, 4, size=(100, 2, sub.dim)).tolist():
         targets.append(tuple(map(operator.add, sub.from_sub_coords(u), sub.from_sub_coords(w))))
     for t2 in targets:
-        assert sub.nearest2(t2) == _brute_nearest2(sub, t2)
+        assert sub.nearest2(t2) == brute_nearest2(sub, t2)
 
 
 _cached_design = functools.lru_cache(design_sublattice)
@@ -309,21 +413,21 @@ def test_bulk_nearest2_matches_scalar(data):
     rows += data.draw(st.lists(vec(-120, 120), max_size=4))
     t2 = np.array(rows, dtype=np.int64)
     got = [tuple(p) for p in bulk_nearest2(sub, t2).tolist()]
-    assert got == [sub.nearest2(tuple(t)) for t in rows]
-    assert got == [_brute_nearest2(sub, tuple(t)) for t in rows]
+    assert got == [brute_nearest2(sub, tuple(t)) for t in rows]
     u = [data.draw(st.integers(2**64, 2**70))] + data.draw(vec(-(2**70), 2**70))[1:]
     far = np.array(t2.tolist(), dtype=object) + np.array([2 * x for x in sub.from_sub_coords(u)])
     assert np.abs(far).max() > sub.t2_bound
     out = bulk_nearest2(sub, far)
     assert out.dtype == object
-    assert [tuple(p) for p in out.tolist()] == [sub.nearest2(tuple(t)) for t in far.tolist()]
+    assert [tuple(p) for p in out.tolist()] == [brute_nearest2(sub, t) for t in far.tolist()]
 
 
 @pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z4", 49), ("Z8", 81)])
 def test_nearest2_coords_give_nearest2(name, n):
-    """Gt times the sublattice coordinates is ``bulk_nearest2`` and the scalar
-    rule, on int64 targets and on the same targets shifted by a sublattice
-    point far past ``t2_bound``, whose coordinates shift by exactly its own."""
+    """Gt times the sublattice coordinates is ``bulk_nearest2``, on int64
+    targets and on the same targets shifted by a sublattice point far past
+    ``t2_bound``, whose coordinates shift by exactly its own; on the int64
+    targets it is the brute-force nearest point."""
     sub = _cached_design(name, n)
     rng = np.random.default_rng(12)
     t2 = rng.integers(-400, 400, size=(300, sub.dim))
@@ -335,19 +439,21 @@ def test_nearest2_coords_give_nearest2(name, n):
     assert u.dtype == np.int64 and u_far.dtype == object
     assert (u_far - u == np.array(w, dtype=object)).all()
     for targets, coords in [(t2, u), (far, u_far)]:
-        points = (coords @ sub.gtilde.T).tolist()
-        assert points == bulk_nearest2(sub, targets).tolist()
-        assert list(map(tuple, points)) == [sub.nearest2(t) for t in targets.tolist()]
+        assert (coords @ sub.gtilde.T).tolist() == bulk_nearest2(sub, targets).tolist()
+    points = list(map(tuple, (u @ sub.gtilde.T).tolist()))
+    assert points == [brute_nearest2(sub, t) for t in t2.tolist()]
 
 
 @pytest.mark.parametrize("n", [7, 31])
 def test_scalar_nearest2_matches_bulk_in_box_a2(n):
-    """Every doubled target in [-2N, 2N]^2, half-integer ties included."""
+    """Every doubled target in [-2N, 2N]^2, half-integer ties included: the
+    one-row ``nearest2``, the int64 batch and the brute-force search agree."""
     sub = design_sublattice("A2", n)
     r = np.arange(-2 * n, 2 * n + 1)
     t2 = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
-    got = [sub.nearest2(t) for t in map(tuple, t2.tolist())]
-    assert got == list(map(tuple, bulk_nearest2(sub, t2).tolist()))
+    got = list(map(tuple, bulk_nearest2(sub, t2).tolist()))
+    assert got == [brute_nearest2(sub, t) for t in t2.tolist()]
+    assert got[:: n + 1] == [sub.nearest2(t) for t in t2[:: n + 1].tolist()]
 
 
 @settings(max_examples=80, deadline=None)

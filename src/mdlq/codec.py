@@ -22,13 +22,18 @@ product.  Each block writes its squared errors into one (3, m, L) array per
 chunk, summed once per plane, so the distortions do not depend on
 ``BLOCK``.
 
-The side rates H1/H2 are the empirical entropies of the side labels.  Each
-block keeps only its distinct label rows and their counts (``_row_counts``:
-every row packed into one int64 in mixed radix and sorted once, in the
-lexicographic order of the rows); the block counts are merged per chunk and
-the chunk counts at the end, each by one weighted call of the same function,
-so the counts and the reported entropies are exact and the raw labels are
-dropped block by block.
+The side rates H1/H2 are the empirical entropies of the side labels, and
+the raw labels are dropped block by block.  A ``periods:p`` source reads
+every label modulo p, so its labels lie in the alphabet [0, p)^L; where p^L
+is at most ``BLOCK``, each channel keeps one tally of length p^L for the
+whole call, and each block packs every label row into one key (radix p,
+first coordinate most significant) and adds its ``np.bincount``.  Any other
+source keeps each block's distinct label rows and their counts
+(``_row_counts``: every row packed into one int64 in mixed radix and sorted
+once); the block counts are merged per chunk and the chunk counts at the
+end, each by one weighted call of the same function.  Both list the counts
+in the lexicographic order of the rows, as the same exact integers, so the
+reported entropies do not depend on the path.
 
 Source kinds:
 
@@ -117,9 +122,17 @@ class ScaledDesign:
 def source_entropy_bits(source: SourceSpec, design: ScaledDesign) -> float:
     """Differential entropy per sample (bits) of the configured source."""
     if source.kind == "uniform":
+        if 2.0 * source.param == math.inf:
+            raise InvalidInput(f"source {source.label()} is too wide: 2*W overflows a float")
         return math.log2(2.0 * source.param)
     if source.kind == "gauss":
-        return 0.5 * math.log2(2.0 * math.pi * math.e * source.param**2)
+        try:
+            power = 2.0 * math.pi * math.e * source.param**2
+        except OverflowError:
+            power = math.inf
+        if power == math.inf:
+            raise InvalidInput(f"source {source.label()} is too wide: 2*pi*e*S^2 overflows a float")
+        return 0.5 * math.log2(power)
     m = int(source.param)
     vol = m**design.dim * design.index * cell_volume(design.lattice, design.beta)
     return math.log2(vol) / design.dim
@@ -302,24 +315,30 @@ class SimReport:
 
 def _hex_cell_offsets(rng, m):
     """Uniform samples from the Voronoi hexagon of the unit A2 lattice."""
-    out = np.empty((0, 2))
+    out = np.empty((m, 2))
+    filled = 0
     ymax = 1.0 / _SQRT3
-    while len(out) < m:
-        k = int((m - len(out)) * 1.6) + 16
-        cand = np.stack(
-            [rng.uniform(-0.5, 0.5, k), rng.uniform(-ymax, ymax, k)], axis=1
+    while filled < m:
+        k = int((m - filled) * 1.6) + 16
+        x, y = rng.uniform(-0.5, 0.5, k), rng.uniform(-ymax, ymax, k)
+        ok = (np.abs(0.5 * x + 0.5 * _SQRT3 * y) <= 0.5) & (
+            np.abs(-0.5 * x + 0.5 * _SQRT3 * y) <= 0.5
         )
-        ok = (np.abs(0.5 * cand[:, 0] + 0.5 * _SQRT3 * cand[:, 1]) <= 0.5) & (
-            np.abs(-0.5 * cand[:, 0] + 0.5 * _SQRT3 * cand[:, 1]) <= 0.5
-        )
-        out = np.concatenate([out, cand[ok]])
-    return out[:m]
+        # One column at a time: a boolean row index of a (k, 2) array is
+        # several times slower than these 1-D gathers.
+        got = np.flatnonzero(ok)[: m - filled]
+        for col, v in enumerate((x, y)):
+            out[filled : filled + len(got), col] = v.take(got)
+        filled += len(got)
+    return out
 
 
 def _row_counts(keys: np.ndarray, weights: np.ndarray | None = None):
     """Distinct rows of an (n, L) int64 array, in lexicographic order, with
     the number of times each occurs -- or, given ``weights``, the sum of the
-    weights of its copies.
+    weights of its copies.  ``simulate`` counts with it the labels of sources
+    whose label alphabet has no fixed bound within a block (gauss, uniform,
+    and periods:p with p^L > ``BLOCK``).
 
     The same integers in the same order as a row-wise ``np.unique`` with
     ``return_counts``, from one 1-D sort: each row is packed into one
@@ -374,8 +393,9 @@ def _entropy_bits(counts: np.ndarray, n: int) -> float:
 # substream), so changing it changes every report.
 CHUNK = 1 << 17
 # Rows per block of the pipeline that runs over each drawn chunk: few enough
-# that a block's int64 arrays stay in a core's L2 cache.  No result depends
-# on it.
+# that a block's int64 arrays stay in a core's L2 cache.  It also bounds the
+# label alphabet that ``simulate`` counts in a dense tally, so a block's
+# ``bincount`` costs no more than the block.  No result depends on it.
 BLOCK = 1 << 13
 
 
@@ -405,12 +425,21 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
     # A2's [[1, -1/2], [0, sqrt(3)/2]]), so no order of the sum changes it.
     embed = np.ascontiguousarray(lat.basis.T)
     period = int(source.param) if source.kind == "periods" else 0
+    # Every entry of grid @ Gt^T is below period * max_i sum_j |Gt_ij|.
+    if period * max(sum(map(abs, row)) for row in sub.gtilde_rows) >= 2**63:
+        raise InvalidInput(f"source {source.label()} leaves the int64 range on this design")
     reps = np.array(sorted(sub.voronoi_reps), dtype=np.int64)
+    # Labels of a periods:p source lie in [0, p)^L; each channel tallies its
+    # radix-p keys there when that alphabet fits in a block.
+    size = period**dim if period and period**dim <= BLOCK else 0
+    radix = period ** np.arange(dim - 1, -1, -1, dtype=np.int64) if size else None
+    tallies = (np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
 
     def run_chunk(ci: int):
         """The chunk's three squared-error sums over dim and, per channel,
-        the label counts of each block.  Its draws and sums are freed on
-        return, before the caller merges the block counts."""
+        the label counts of each block (none where the tallies count them).
+        Its draws and sums are freed on return, before the caller merges the
+        block counts."""
         m = min(CHUNK, n_samples - ci * CHUNK)
         rng = np.random.default_rng([seed, ci])
         if source.kind == "uniform":
@@ -446,23 +475,34 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
             e1, e2, u1, u2 = enc.encode(lam)
             for plane, y in zip(sq, (lam, e1, e2)):
                 np.square(x - beta * (y.astype(float) @ embed), out=plane[b])
-            for counted, u in zip(blocks, (u1, u2)):
+            for counted, tally, u in zip(blocks, tallies, (u1, u2)):
                 if period:
                     u -= u // period * period  # label statistics per period
-                counted.append(_row_counts(u))
+                if size:
+                    tally += np.bincount(u @ radix, minlength=size)
+                else:
+                    counted.append(_row_counts(u))
         return [float(plane.sum()) / dim for plane in sq], blocks
 
     sq_sums = []  # per chunk
     found = ([], [])  # per channel and chunk: distinct label coordinates, counts
-    for ci in range((n_samples + CHUNK - 1) // CHUNK):
-        sums, blocks = run_chunk(ci)
-        sq_sums.append(sums)
-        for counted, chunks in zip(blocks, found):
-            chunks.append(_merge_counts(counted))
-            counted.clear()
+    # A sum past the float range is caught below, as one named error.
+    with np.errstate(over="ignore"):
+        for ci in range((n_samples + CHUNK - 1) // CHUNK):
+            sums, blocks = run_chunk(ci)
+            sq_sums.append(sums)
+            for counted, chunks in zip(blocks, found):
+                if counted:
+                    chunks.append(_merge_counts(counted))
+                    counted.clear()
 
     d0, d1, d2 = (sum(s[i] for s in sq_sums) / n_samples for i in range(3))
-    h1, h2 = (_entropy_bits(_merge_counts(chunks)[1], n_samples) for chunks in found)
+    if not math.isfinite(d0 + d1 + d2):  # the sums are >= 0, so this covers ds too
+        raise InvalidInput("the squared errors overflow a float; take a smaller source or beta")
+    if size:
+        h1, h2 = (_entropy_bits(tally, n_samples) for tally in tallies)
+    else:
+        h1, h2 = (_entropy_bits(_merge_counts(chunks)[1], n_samples) for chunks in found)
     return SimReport(
         lattice=lat.name,
         params=tuple(sub.params),

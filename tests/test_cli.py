@@ -378,6 +378,23 @@ def test_scale_or_seed_out_of_range_is_invalid_input(capsys, argv):
     assert err.startswith("InvalidInput:") and out == ""
 
 
+@pytest.mark.parametrize(
+    "beta,source",
+    [
+        ("1e153", "gauss:1e154"),  # 2 pi e S^2 is inf: the report printed Infinity
+        ("1e153", "gauss:1e155"),  # S^2 raised OverflowError
+        ("1e153", "gauss:3e153"),  # 2 pi e S^2 is finite, the squared-error sums are not
+        ("1", "periods:1e19"),  # numpy's own ValueError from the period draw
+        ("1", "uniform:1e308"),  # numpy's own OverflowError from the uniform draw
+    ],
+)
+def test_simulate_overflowing_source_is_invalid_input(capsys, beta, source):
+    argv = ["--lattice", "A2", "--index", "7", "--beta", beta, "--source", source]
+    code, out, err = run(capsys, "simulate", *argv, "--samples", "1000")
+    assert code == 1
+    assert err.startswith("InvalidInput:") and out == ""
+
+
 @pytest.fixture(scope="module")
 def a2_31_design(tmp_path_factory):
     path = tmp_path_factory.mktemp("design") / "a2_31.json"

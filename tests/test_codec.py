@@ -401,7 +401,13 @@ def test_simulate_degenerate_index_one():
 
 
 @pytest.mark.parametrize(
-    "name,n,source", [("Z8", 81, "periods:2"), ("A2", 31, "periods:20"), ("Z1", 5, "uniform:2")]
+    "name,n,source",
+    [
+        ("Z8", 81, "periods:2"),
+        ("A2", 31, "periods:20"),
+        ("Z1", 5, "uniform:2"),
+        ("Z4", 49, "periods:20"),  # 20^4 labels: too many for a tally at any block size here
+    ],
 )
 def test_simulate_does_not_depend_on_block_size(monkeypatch, name, n, source):
     d = ScaledDesign(design(name, n), beta=0.7)
@@ -417,6 +423,27 @@ def test_simulate_does_not_depend_on_block_size(monkeypatch, name, n, source):
         assert report(block, 150_001) == want
     # A block of one row costs about 0.2 ms, so it runs on fewer samples.
     assert report(1, 3_001) == report(CHUNK, 3_001)
+
+
+@pytest.mark.parametrize("name,n,period", [("Z8", 81, 2), ("A2", 31, 20), ("Z4", 49, 4)])
+def test_simulate_label_tally_matches_row_counts(monkeypatch, name, n, period):
+    # periods:p counts its labels in a tally of p^L entries when p^L <= BLOCK;
+    # a block one row smaller sends the same labels through ``_row_counts``.
+    d = ScaledDesign(design(name, n), beta=0.7)
+    src = SourceSpec.parse(f"periods:{period}")
+    calls = []
+
+    def row_counts(*args):
+        calls.append(len(args[0]))
+        return _row_counts(*args)
+
+    monkeypatch.setattr(codec, "_row_counts", row_counts)
+    # 150 001 samples end in a partial chunk, and in a partial block below CHUNK.
+    want = simulate(d, src, 150_001, seed=3).to_dict()
+    assert calls == []
+    monkeypatch.setattr(codec, "BLOCK", period**d.dim - 1)
+    assert simulate(d, src, 150_001, seed=3).to_dict() == want
+    assert calls
 
 
 def test_simulate_peak_memory():

@@ -30,8 +30,11 @@ from .sublattices import design_sublattice
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise InvalidInput(f"cannot write {out}: {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
 
@@ -60,12 +63,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_json(path: str, what: str):
-    """The JSON document in ``path``; text that is not JSON is InvalidInput."""
-    with open(path) as fh:
-        try:
+    """The JSON document in ``path``; an unreadable or non-JSON file is InvalidInput."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except ValueError as err:
-            raise InvalidInput(f"{what} {path} is not JSON: {err}") from None
+    except OSError as err:
+        raise InvalidInput(f"cannot read {what} {path}: {err.strerror or err}") from None
+    except (ValueError, RecursionError) as err:  # RecursionError: nested too deep
+        raise InvalidInput(f"{what} {path} is not JSON: {err}") from None
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
@@ -116,16 +121,16 @@ def _parse_params(text: str | None):
 
 def _build_from_args(args):
     if args.lattice is None:
-        raise MdlqError("--lattice is required (or supply it via --config)")
+        raise InvalidInput("--lattice is required (or supply it via --config)")
     if args.index is None and args.params is None:
-        raise MdlqError("one of --index or --params is required")
+        raise InvalidInput("one of --index or --params is required")
     sub = design_sublattice(args.lattice, index=args.index, params=_parse_params(args.params))
     return build_labeling(sub)
 
 
 def _resolve_beta(args, labeling) -> float:
     if args.beta is not None and args.rate is not None:
-        raise MdlqError("--beta and --rate are mutually exclusive")
+        raise InvalidInput("--beta and --rate are mutually exclusive")
     if args.rate is not None:
         return rate_targeted_beta(labeling.lattice, args.rate, args.a, args.entropy)
     return args.beta if args.beta is not None else 1.0
@@ -145,9 +150,9 @@ def cmd_design(args) -> int:
         "edge shells: B=A below K: %s, B<=A at K: %s"
         % (hist["B_eq_A_below_K"], hist["B_le_A_at_K"]),
     ]
+    _write(_json_text(doc), args.out)
     # Without --out the design file itself goes to stdout, which must stay JSON.
     print("\n".join(summary), file=sys.stdout if args.out else sys.stderr)
-    _write(_json_text(doc), args.out)
     if args.out:
         print(f"wrote {args.out}")
     return 0
@@ -275,9 +280,6 @@ def main(argv=None) -> int:
         return cmd_verify(args)
     except MdlqError as err:
         print(f"{err.name}: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
 
 

@@ -63,4 +63,5 @@ class ResourceLimit(MdlqError):
 
 class InvalidInput(MdlqError):
     """Malformed or out-of-range input from outside the program: a CLI or
-    config value, a design file, or samples beyond the int64 domain."""
+    config value, a design file, a file that cannot be read or written, or
+    samples beyond the int64 domain."""

@@ -282,7 +282,7 @@ def figure_data(kind: str, **kwargs):
             a2_ns = admissible_design_indices("A2", int(kwargs.get("n_max", 100)))
         z_ns = kwargs.get("z_indices")
         if z_ns is None:
-            z_ns = [n for n in range(3, int(math.isqrt(int(kwargs.get("n_max", 100)))) + 1, 2)]
+            z_ns = list(range(3, math.isqrt(max(0, int(kwargs.get("n_max", 100)))) + 1, 2))
         rows = []
         for name, ns in (("A2", a2_ns), ("Z", z_ns)):
             lat = get_lattice("A2" if name == "A2" else "Z1")

@@ -35,9 +35,9 @@ import numpy as np
 from .assignment import min_cost_assignment
 from .errors import (
     AsymmetricEdgeSet,
+    GroupPropertyViolation,
     InadmissibleIndex,
     InvalidInput,
-    MdlqError,
     NotALabel,
     PropertyCheckFailed,
     SizeMismatch,
@@ -597,10 +597,7 @@ def labeling_from_dict(data: dict) -> Labeling:
         raise InvalidInput(
             "malformed design file: lattice must be a name, index, group_order and params integers"
         )
-    try:
-        dim = get_lattice(lat_name).dim
-    except ValueError as err:
-        raise InvalidInput(f"malformed design file: {err}") from None
+    dim = get_lattice(lat_name).dim
 
     def point(v):
         if not (isinstance(v, list) and len(v) == dim and all(map(_is_int, v))):
@@ -639,5 +636,5 @@ def _candidate_groups(sub: SimilarSublattice):
     fallback = minus_identity_group(sub.lattice)
     try:
         return [group_for(sub.lattice, sub), fallback]
-    except (MdlqError, ValueError):
+    except GroupPropertyViolation:
         return [fallback]

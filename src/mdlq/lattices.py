@@ -192,7 +192,7 @@ def get_lattice(name: str) -> Lattice:
     """Look up a supported lattice by its canonical name."""
     key = name.upper() if name.lower() != "a2" else "A2"
     if key not in LATTICE_NAMES:
-        raise ValueError(f"unknown lattice {name!r}; expected one of {LATTICE_NAMES}")
+        raise InvalidInput(f"unknown lattice {name!r}; expected one of {LATTICE_NAMES}")
     if key == "A2":
         basis = np.array([[1.0, -0.5], [0.0, _SQRT3 / 2.0]])
         gram2 = np.array([[2, -1], [-1, 2]], dtype=np.int64)

@@ -514,7 +514,7 @@ def design_sublattice(lat_name: str, index: int | None = None, params=None) -> S
     lat = get_lattice(lat_name)
     if params is None:
         if index is None:
-            raise ValueError("either index or params is required")
+            raise InvalidInput("either index or params is required")
         params = find_params(lat, index)
     sub = build_sublattice(lat, params)
     if index is not None and sub.index != index:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -6,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdlq.cli import main
 from mdlq.errors import MdlqError
@@ -130,7 +135,7 @@ def test_beta_and_rate_conflict(capsys):
         "--rate", "2.0", "--source", "gauss:1", "--samples", "10", "--seed", "0",
     )
     assert code == 1
-    assert "MdlqError" in err or "mutually exclusive" in err
+    assert err.startswith("InvalidInput:") and "mutually exclusive" in err
 
 
 def test_eval_fig1_csv(capsys):
@@ -386,6 +391,8 @@ def test_scale_or_seed_out_of_range_is_invalid_input(capsys, argv):
         ("1e153", "gauss:3e153"),  # 2 pi e S^2 is finite, the squared-error sums are not
         ("1", "periods:1e19"),  # numpy's own ValueError from the period draw
         ("1", "uniform:1e308"),  # numpy's own OverflowError from the uniform draw
+        ("1", "gauss:1e-300"),  # S^2 underflowed to 0: "math domain error"
+        ("1", "periods:1e300"),  # m^L N nu raised OverflowError before the int64 check
     ],
 )
 def test_simulate_overflowing_source_is_invalid_input(capsys, beta, source):
@@ -393,6 +400,30 @@ def test_simulate_overflowing_source_is_invalid_input(capsys, beta, source):
     code, out, err = run(capsys, "simulate", *argv, "--samples", "1000")
     assert code == 1
     assert err.startswith("InvalidInput:") and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["verify", "--design", "{tmp}/missing.json"], "cannot read design file"),
+        (["verify", "--design", "{tmp}"], "cannot read design file"),
+        (["design", "--config", "{tmp}/missing.json"], "cannot read config file"),
+        (["design", "--lattice", "A2", "--index", "7", "--out", "{tmp}/no_such_dir/d.json"],
+         "cannot write"),
+        (["eval", "--figure", "fig1", "--out", "{tmp}"], "cannot write"),
+    ],
+)
+def test_file_that_cannot_be_read_or_written_is_invalid_input(tmp_path, capsys, argv, text):
+    # These printed FileNotFoundError or IsADirectoryError.
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert err.startswith("InvalidInput:") and text in err and out == ""
+
+
+def test_fig9_with_a_negative_n_max_is_an_empty_table(capsys):
+    # math.isqrt(-1) raised ValueError; the asymptotic sweep already gave an empty table.
+    code, out, err = run(capsys, "eval", "--figure", "fig9", "--n-max", "-1")
+    assert code == 0 and out == "curve,N_reported,N_actual,beta,R,d0,ds,excess\n"
 
 
 @pytest.fixture(scope="module")
@@ -458,6 +489,13 @@ def test_verify_rejects_a_file_that_is_not_json(tmp_path, capsys, a2_31_design):
     code, out, err = _verify(tmp_path, capsys, json.dumps(a2_31_design)[:-1])
     assert code == 1 and out == ""
     assert err.startswith("InvalidInput:") and "not JSON" in err
+
+
+def test_verify_rejects_a_file_nested_too_deep(tmp_path, capsys):
+    # json.load raised RecursionError, which escaped as a traceback.
+    code, out, err = _verify(tmp_path, capsys, "[" * 10**5 + "]" * 10**5)
+    assert code == 1 and out == ""
+    assert err.startswith("InvalidInput:") and "recursion" in err
 
 
 def _named_errors(cls=MdlqError):
@@ -566,3 +604,153 @@ def test_verify_fuzz_ends_in_pass_or_a_named_error(tmp_path, capsys, a2_31_desig
         else:
             assert code == 1 and out == "", what
             assert err.split(":")[0] in named, what
+
+
+# -- command-line grammar --------------------------------------------------------
+#
+# Each example takes a well-formed command line on a small design, drops at
+# most one of its flags and sets up to three of the flags that the command line
+# reads again, to a well-formed or an edge value.  Values whose work grows
+# without bound are left out: --samples is at most 1 000, and 10^30 is never
+# an --n-max.
+
+_EDGE = ["0", "-1", "1e300", "-1e300", "1e-300", "-1e-300", "nan", "inf", "-inf", str(10**30), "x", ""]
+_BOUNDED = [e for e in _EDGE if e != str(10**30)]  # for --samples and --n-max
+# Paths in the grammar's directory: a file in a missing directory, the
+# directory itself, the empty path, a missing file, text that is not JSON and
+# JSON nested too deep to parse.
+_PATHS = [
+    "{tmp}/no_such_dir/f.json", "{tmp}", "",
+    "{tmp}/missing.json", "{tmp}/truncated.json", "{tmp}/deep.json",
+]
+
+# Each flag's well-formed values, then its edge values (``_EDGE`` by default).
+_GOOD = {
+    "--lattice": ["A2", "Z1", "Z2", "Z4", "Z8"],
+    "--index": ["1", "3", "5", "7", "9", "13", "81"],
+    "--params": ["1,2", "2,1", "0,1", "1", "0,1,1,1", "1,-1"],
+    "--beta": ["0.5", "3"],
+    "--rate": ["1", "2.5"],
+    "--a": ["0.25", "0.5"],
+    "--entropy": ["0", "1.5"],
+    "--samples": ["7", "1000"],
+    "--seed": ["3"],
+    "--format": ["json", "csv"],
+    "--figure": ["fig1", "fig9", "fig10"],
+    "--asymptotic": ["Z1", "Z2", "A2"],
+    "--n-max": ["30", "100"],
+    "--config": ["{tmp}/config.json"],
+    "--design": ["{tmp}/design.json"],
+    "--out": ["{tmp}/out.txt", ""],
+    "--source": ["uniform:1", "gauss:3", "periods:3"],
+}
+_EDGES = {
+    "--samples": _BOUNDED,
+    "--n-max": _BOUNDED,
+    "--config": _PATHS,
+    "--design": _PATHS,
+    "--out": _PATHS[:3],
+    "--source": [f"{kind}:{e}" for kind in ("uniform", "gauss", "periods") for e in _EDGE]
+    + ["laplace:1", *_EDGE],
+}
+
+
+_DESIGN = ["--lattice", "--index", "--params", "--config", "--out"]
+_REPORT = _DESIGN + ["--beta", "--rate", "--a", "--entropy"]
+_SIMULATE = _REPORT + ["--source", "--samples", "--seed", "--format"]
+_SWEEP = ["--n-max", "--a", "--entropy", "--format", "--out"]
+
+# (base command line, the flags an example may set again).  Every simulate
+# base sets --samples, whose default is 100 000, and no example drops it.
+_BASES = [
+    (["design", "--lattice=A2", "--index=7"], _DESIGN),
+    (["design", "--config={tmp}/config.json"], _DESIGN),
+    (["simulate", "--lattice=A2", "--index=7", "--beta=0.5", "--source=periods:3", "--samples=1000"],
+     _SIMULATE),
+    (["simulate", "--lattice=Z4", "--index=9", "--source=gauss:2", "--samples=1000", "--seed=2"],
+     _SIMULATE),
+    (["simulate", "--lattice=Z1", "--index=5", "--rate=2", "--source=uniform:2", "--samples=1000"],
+     _SIMULATE),
+    (["eval", "--lattice=A2", "--index=7", "--beta=0.5"], _REPORT),
+    (["eval", "--lattice=Z2", "--index=13", "--rate=2"], _REPORT),
+    (["eval", "--figure=fig9", "--n-max=30"], ["--figure", *_SWEEP]),
+    (["eval", "--asymptotic=A2", "--n-max=100"], ["--asymptotic", *_SWEEP]),
+    (["verify", "--design={tmp}/design.json"], ["--design"]),
+]
+
+
+@pytest.fixture(scope="module")
+def grammar_dir(tmp_path_factory):
+    """The directory of the files that the grammar's paths name."""
+    tmp = tmp_path_factory.mktemp("grammar")
+    (tmp / "config.json").write_text(json.dumps({"lattice": "A2", "index": 7}))
+    (tmp / "truncated.json").write_text('{"lattice": "A2", "ind')
+    (tmp / "deep.json").write_text("[" * 10**5 + "]" * 10**5)
+    assert main(["design", "--lattice", "A2", "--index", "7", "--out", str(tmp / "design.json")]) == 0
+    return tmp
+
+
+@st.composite
+def _command_lines(draw, tmp):
+    (command, *argv), flags = draw(st.sampled_from(_BASES))
+    dropped = draw(st.sampled_from([None, *(a for a in argv if not a.startswith("--samples"))]))
+    argv = [a for a in argv if a != dropped]
+    # A flag given again overrides the base value.
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3)):
+        values = st.sampled_from(_GOOD[flag]) | st.sampled_from(_EDGES.get(flag, _EDGE))
+        argv.append(f"{flag}={draw(values)}")
+    return [command, *(a.format(tmp=tmp) for a in argv)]
+
+
+def _strict_numbers(text):
+    """Parse a report as strict JSON, or as CSV whose numbers are all finite."""
+    if text.startswith("{"):
+        def reject(name):
+            raise AssertionError(f"non-finite value {name}")
+        json.loads(text, parse_constant=reject)
+        return
+    rows = [line.split(",") for line in text.splitlines()]
+    assert rows and all(len(row) == len(rows[0]) for row in rows)
+    for cell in (c for row in rows[1:] for c in row):
+        try:
+            value = float(cell)
+        except ValueError:
+            continue
+        assert math.isfinite(value), cell
+
+
+def _assert_report_or_named_error(argv, tmp):
+    """Exit 0 with a strict JSON or CSV report, or exit 1 with nothing on
+    stdout and the name of a package error subclass first on stderr.  An
+    exception that escapes main fails the caller."""
+    (tmp / "out.txt").unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    if code == 1:
+        assert err.split(":")[0] in _named_errors() - {"MdlqError"}, (argv, err)
+        assert out == "", argv
+        return
+    assert code == 0, argv
+    if argv[0] == "verify":
+        assert out.splitlines() and all(line.endswith(": PASS") for line in out.splitlines())
+        return
+    target = [a.partition("=")[2] for a in argv if a.startswith("--out=")]
+    _strict_numbers(open(target[-1]).read() if target and target[-1] else out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_command_line_grammar_ends_in_a_report_or_a_named_error(grammar_dir, data):
+    _assert_report_or_named_error(data.draw(_command_lines(grammar_dir), label="argv"), grammar_dir)
+
+
+def test_every_edge_value_of_every_flag_ends_in_a_report_or_a_named_error(grammar_dir):
+    # One flag at a time, every edge value on every base command line: the
+    # sweep reaches single values that random draws would rarely meet.
+    for (command, *argv), flags in _BASES:
+        for flag in flags:
+            for value in _EDGES.get(flag, _EDGE):
+                line = [command, *argv, f"{flag}={value}"]
+                _assert_report_or_named_error([a.format(tmp=grammar_dir) for a in line], grammar_dir)

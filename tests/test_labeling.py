@@ -506,6 +506,13 @@ def test_design_serialization_round_trip(lab31):
     assert rebuilt.cost_total == lab31.cost_total
 
 
+def test_design_file_with_an_unknown_lattice_is_invalid_input(lab31):
+    # get_lattice names the error itself; nothing translates it on the way.
+    doc = dict(lab31.to_dict(), lattice="A3")
+    with pytest.raises(InvalidInput, match="unknown lattice 'A3'"):
+        labeling_from_dict(doc)
+
+
 def test_hand_design_serialization_round_trip():
     hand = hand_labeling_a2_31()
     rebuilt = labeling_from_dict(hand.to_dict())

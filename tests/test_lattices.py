@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mdlq.errors import ResourceLimit
+from mdlq.errors import InvalidInput, ResourceLimit
 from mdlq.lattices import filled_shell, get_lattice, shell_prefix, sphere_second_moment
 
 SQRT3 = math.sqrt(3.0)
@@ -144,3 +144,8 @@ def test_sphere_second_moment_limit():
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(v > target for v in values)
     assert values[-1] == pytest.approx(target, rel=0.06)
+
+
+def test_unknown_lattice_is_invalid_input():
+    with pytest.raises(InvalidInput, match="unknown lattice 'A3'"):
+        get_lattice("A3")

@@ -489,3 +489,8 @@ def test_covering_radius_scaling():
     assert sub.covering_radius_sq() == Fraction(31, 6)
     subz = design_sublattice("Z1", 5)
     assert subz.covering_radius_sq() == Fraction(25, 4)
+
+
+def test_design_sublattice_without_index_or_params_is_invalid_input():
+    with pytest.raises(InvalidInput, match="either index or params"):
+        design_sublattice("A2")

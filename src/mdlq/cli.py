@@ -13,7 +13,7 @@ import math
 import sys
 
 from .codec import ScaledDesign, SourceSpec, simulate
-from .errors import InvalidInput, MdlqError
+from .errors import InvalidInput, MdlqError, PropertyCheckFailed
 from .evaluation import (
     admissible_asymptotic_indices,
     asymptotic_limit_check,
@@ -216,11 +216,12 @@ def cmd_verify(args) -> int:
     hist = edge_histogram(lab)
     checks.append(("edge-histogram", hist["B_eq_A_below_K"] and hist["B_le_A_at_K"]))
     checks.append(("cost-summary", doc.get("cost_summary") == lab.to_dict()["cost_summary"]))
-    ok = True
     for name, passed in checks:
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
-        ok &= passed
-    return 0 if ok else 1
+    failed = [name for name, passed in checks if not passed]
+    if failed:
+        raise PropertyCheckFailed(", ".join(failed), "the design file fails these checks")
+    return 0
 
 
 def make_parser() -> argparse.ArgumentParser:

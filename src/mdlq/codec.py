@@ -14,12 +14,13 @@ lattice point (``bulk_nearest``), coset reduction and orientation
 (``BulkEncoder.encode``), squared errors and label counts.  The coset
 reduction (``bulk_coset_reduce``) reads the sublattice's one coset index
 (``sublattices.bulk_coset_index``), which is also the point's row in the
-encoder's tables: the representative is the row's V0(0) point, vp = lam -
-rep is the nearest sublattice point, and its sublattice coordinates are
-u = adj vp / N.  The encoder reads each label's coordinates from a per-row
-table adj ends / N plus u, so the label keys need no further matrix
-product.  Each block writes its squared errors into one (3, m, L) array per
-chunk, summed once per plane, so the distortions do not depend on
+labeling's one row table (``Labeling.rows``, in coset-index order), whose
+columns the encoder holds as arrays: the representative is the row's V0(0)
+point, vp = lam - rep is the nearest sublattice point, and its sublattice
+coordinates are u = adj vp / N.  The encoder reads each label's coordinates
+from a per-row table adj ends / N plus u, so the label keys need no further
+matrix product.  Each block writes its squared errors into one (3, m, L)
+array per chunk, summed once per plane, so the distortions do not depend on
 ``BLOCK``.
 
 The side rates H1/H2 are the empirical entropies of the side labels, and
@@ -231,19 +232,18 @@ class BulkEncoder:
         # Largest |coordinate| whose coset reduction and label coordinates
         # stay in int64; past it they run on Python ints.
         self.coord_bound = sub.t2_bound // 2
-        # The tables are in coset-index order, so a point's row is its index.
-        # Row r of ``ends`` is the first endpoint of table row r and row
+        # The labeling's rows are in coset-index order, so a point's row is
+        # its index.  Row r of ``ends`` is the first endpoint of row r and row
         # r + N its second; ``coords`` holds the same sublattice points in
         # sublattice coordinates (adj ends / N, exact), so a label at
         # vp = Gt u has coordinates coords + u.
-        reps = sub.coset_reps
-        self.reps = np.array(reps, dtype=np.int64)
-        rows = [labeling.rows[r] for r in reps]
+        rows = labeling.rows
+        self.reps = np.array([r.rep for r in rows], dtype=np.int64)
         self.ends = np.array([r.first for r in rows] + [r.second for r in rows], dtype=np.int64)
-        self.coords = self.ends @ np.array(sub.adjugate, dtype=np.int64).T // sub.index
         self.axis, self.step, self.phase = np.array(
             [[r.axis for r in rows], [r.step for r in rows], [r.phase for r in rows]], dtype=np.int64
         )
+        self.coords = self.ends @ np.array(sub.adjugate, dtype=np.int64).T // sub.index
 
     def encode(self, lam: np.ndarray):
         """Directed labels for an (n, L) int64 array: (E1, E2, U1, U2), the

@@ -13,11 +13,13 @@ Construction pipeline (all exact integer / rational arithmetic):
 4. color / direction rules -- turn the undirected label into a directed one
                             so the two channels stay balanced.
 
-A finished ``Labeling`` stores one relocated edge per coset representative;
-encode/decode extend it to the whole lattice through the shift property.
-Each row also stores its direction (``Row``), so encode and decode evaluate
-one parity, ``orientation_flip``, which the bulk encoder applies to arrays;
-``verify_properties`` checks every row against the general rule ``direct_edge``.
+A finished ``Labeling`` keeps one row table in coset-index order: each
+``Row`` holds a V0(0) representative, its relocated edge and its direction,
+and ``class_table`` maps each edge class to a row index.  ``encode`` shifts
+the row of the point's coset index, ``decode_both`` the row of the label's
+class by the shift taken at the label's first endpoint; both evaluate one
+parity, ``orientation_flip``, which the bulk encoder applies to the same
+table as arrays; ``verify_properties`` checks every row against ``direct_edge``.
 """
 
 from __future__ import annotations
@@ -144,9 +146,9 @@ def direct_edge(lat: Lattice, edge, lam, c: int | None = None) -> DirectedEdge:
     return DirectedEdge(b, a)
 
 
-# Direction of a table row: rep + vp (vp a sublattice point) is labeled
-# (first + vp, second + vp), reversed where orientation_flip(phase, step, vp[axis]) is 1.
-Row = namedtuple("Row", "first second axis step phase")
+# A table row: rep + vp (vp a sublattice point) is labeled (first + vp,
+# second + vp), reversed where orientation_flip(phase, step, vp[axis]) is 1.
+Row = namedtuple("Row", "rep first second axis step phase")
 
 
 def orientation_flip(phase, step, shift):
@@ -161,10 +163,11 @@ def _row(lat: Lattice, rep, edge) -> Row:
     At odd N only the zero row has rep at its midpoint; step 1 never reverses it."""
     a, b = edge
     if a == b:
-        return Row(a, b, 0, 1, 0)
+        return Row(rep, a, b, 0, 1, 0)
     j = next(i for i in range(lat.dim) if a[i] != b[i])
     step = 2 * abs(b[j] - a[j])
-    return Row(a, b, j, step, a[j] + b[j] + (step if _orientation_sign(lat, edge, rep) < 0 else 0))
+    phase = a[j] + b[j] + (step if _orientation_sign(lat, edge, rep) < 0 else 0)
+    return Row(rep, a, b, j, step, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +324,14 @@ class Labeling:
     base_endpoints: list
     anchors: dict
     cost_total: Fraction
-    class_table: dict = field(init=False)  # edge class key -> first representative using it
-    rows: dict = field(init=False)  # V0(0) representative -> Row
+    rows: list = field(init=False)  # coset index -> Row
+    class_table: dict = field(init=False)  # edge class key -> index of its first row
 
     def __post_init__(self):
+        self.rows = [_row(self.lattice, rep, self.table[rep]) for rep in self.sub.coset_reps]
         self.class_table = {}
-        self.rows = {}
-        for rep in sorted(self.table):
-            edge = self.table[rep]
-            self.class_table.setdefault(class_key(_sub(edge[1], edge[0])), rep)
-            self.rows[rep] = _row(self.lattice, rep, edge)
+        for i, row in enumerate(self.rows):
+            self.class_table.setdefault(class_key(_sub(row.second, row.first)), i)
 
     # -- public accessors ------------------------------------------------------
 
@@ -356,46 +357,42 @@ class Labeling:
         a, b = self.table[rep]
         return (_add(a, vp), _add(b, vp))
 
-    def _directed(self, rep, vp) -> DirectedEdge:
-        """Label of rep + vp: its row's edge shifted by vp, flipped or not."""
-        row = self.rows[rep]
-        ends = (_add(row.first, vp), _add(row.second, vp))
-        f = orientation_flip(row.phase, row.step, vp[row.axis])
-        return DirectedEdge(ends[f], ends[1 - f])
-
     def encode(self, lam) -> DirectedEdge:
-        """Directed label of a lattice point.
+        """Directed label of a lattice point: the row of its coset shifted by
+        vp = lam - rep, reversed where ``orientation_flip`` is 1.
 
         The color is evaluated on the shifted edge, so orientation alternates
-        along lines of equivalent edges exactly as the balance rule requires;
-        ``coset_reduce`` checks ``lam``.
+        along lines of equivalent edges exactly as the balance rule requires.
         """
-        vp, rep = self.sub.coset_reduce(lam)
-        return self._directed(rep, vp)
+        lam = int_point(lam, self.sub.dim)
+        row = self.rows[self.sub._coset_index(lam)]
+        vp = _sub(lam, row.rep)
+        a, b = _add(row.first, vp), _add(row.second, vp)
+        if orientation_flip(row.phase, row.step, vp[row.axis]):
+            return DirectedEdge(b, a)
+        return DirectedEdge(a, b)
 
     def decode_both(self, de) -> tuple:
-        """Invert ``encode``: recover the lattice point from a directed label."""
+        """Invert ``encode``: (a, b) is the row's edge (first, second) + shift,
+        forward or reversed, and labels rep + shift or its mirror."""
         try:
             a, b = de
         except (TypeError, ValueError):
             raise NotALabel(f"{de!r} is not a pair of points") from None
         a, b = int_point(a, self.sub.dim, NotALabel), int_point(b, self.sub.dim, NotALabel)
-        de = DirectedEdge(a, b)
-        key = class_key(_sub(b, a))
-        rep = self.class_table.get(key)
-        if rep is None:
-            raise NotALabel(f"edge class {key} is not part of this design")
-        row = self.rows[rep]
-        total = _add(a, b)
-        diff = _sub(total, _add(row.first, row.second))
-        if any(x % 2 for x in diff):
-            raise NotALabel(f"{de} is not aligned with the design's edge set")
-        shift = tuple(x // 2 for x in diff)
-        if not self.sub.contains(shift):
-            raise NotALabel(f"{de} is not a shift of a design edge")
-        # The edge labels rep + shift and its mirror, in opposite orientations.
-        cand = _add(rep, shift)
-        return cand if self._directed(rep, shift) == de else _sub(total, cand)
+        diff = _sub(b, a)
+        i = self.class_table.get(class_key(diff))
+        if i is None:
+            raise NotALabel(f"edge class {class_key(diff)} is not part of this design")
+        row = self.rows[i]
+        forward = diff == _sub(row.second, row.first)
+        shift = _sub(a, row.first if forward else row.second)
+        if self.sub._coset_index(shift):
+            raise NotALabel(f"{DirectedEdge(a, b)} is not a shift of a design edge")
+        cand = _add(row.rep, shift)
+        if orientation_flip(row.phase, row.step, shift[row.axis]) != forward:
+            return cand
+        return _sub(_add(a, b), cand)
 
     # -- property verification ----------------------------------------------------
 
@@ -408,11 +405,11 @@ class Labeling:
         # Property 3 (+ pairwise balance): each positive-length edge labels two
         # points summing to the edge-endpoint sum, with opposite orientations.
         # Every row is canonical, and its stored direction follows direct_edge.
-        for rep in sub.voronoi_reps:
-            edge = self.table[rep]
+        for row in self.rows:
+            rep, edge = row.rep, (row.first, row.second)
             de_a = self.encode(rep)
             if edge != canonical_edge(*edge) or de_a != direct_edge(lat, edge, rep):
-                raise PropertyCheckFailed("direction", f"rep {rep} -> {self.rows[rep]}")
+                raise PropertyCheckFailed("direction", f"rep {rep} -> {row}")
             if edge[0] == edge[1]:
                 if edge[0] != zero or rep != zero:
                     raise PropertyCheckFailed("zero-edge", f"rep {rep} -> {edge}")

@@ -79,6 +79,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--design", str(path))
     assert code == 1
     assert "cost-summary: FAIL" in out
+    assert err.startswith("PropertyCheckFailed:") and "cost-summary" in err
 
 
 def test_simulate_deterministic(tmp_path, capsys):

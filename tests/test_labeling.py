@@ -471,11 +471,53 @@ def test_round_trip_other_families(name, n):
         assert lab.decode_both(lab.encode(lam)) == lam
 
 
+_COORD = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    design_key=st.sampled_from([("A2", 7), ("A2", 31), ("Z1", 5), ("Z2", 13), ("Z4", 49), ("Z8", 81)]),
+    kind=st.sampled_from(["valid", "reversed", "shifted", "class", "random"]),
+    data=st.data(),
+)
+def test_decode_both_inverts_encode_or_raises(design_key, kind, data):
+    """Any pair either is no label (NotALabel) or decodes to the point whose
+    label it is; a valid label decodes to its point, and a label moved by a
+    vector off the sublattice is no label."""
+    lab = design(*design_key)
+    sub, dim = lab.sub, lab.lattice.dim
+    point = st.tuples(*[_COORD] * dim)
+    lam = data.draw(point)
+    de = lab.encode(lam)
+    if kind == "reversed":
+        de = de.reversed()
+    elif kind == "shifted":
+        k = data.draw(st.integers(1, sub.index - 1))
+        v = _add(sub.coset_reps[k], sub.from_sub_coords(data.draw(point)))
+        de = DirectedEdge(_add(de.first, v), _add(de.second, v))
+    elif kind == "class":  # a design class at an arbitrary place
+        a = data.draw(point)
+        de = DirectedEdge(a, _add(a, data.draw(st.sampled_from(lab.base_endpoints))))
+    elif kind == "random":
+        de = DirectedEdge(data.draw(point), data.draw(point))
+    try:
+        got = lab.decode_both(de)
+    except NotALabel:
+        assert kind not in ("valid", "reversed")
+        return
+    assert kind != "shifted"
+    assert lab.encode(got) == de
+    if kind == "valid":
+        assert got == lam
+
+
 @pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z8", 81)])
 def test_verify_catches_a_flipped_row_direction(name, n):
     lab = dataclasses.replace(design(name, n))  # fresh rows; the cached design stays intact
-    rep, row = next((r, w) for r, w in sorted(lab.rows.items()) if w.first != w.second)
-    lab.rows[rep] = row._replace(phase=row.phase + row.step)
+    i, row = next((i, w) for i, w in enumerate(lab.rows) if w.first != w.second)
+    before = lab.encode(row.rep)
+    lab.rows[i] = row._replace(phase=row.phase + row.step)
+    assert lab.encode(row.rep) == before.reversed()  # encode reads the flipped row
     with pytest.raises(PropertyCheckFailed, match="direction"):
         lab.verify_properties()
 

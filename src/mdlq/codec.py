@@ -7,6 +7,10 @@ orientation is the labeling's own per-row rule (``orientation_flip``), so
 the bulk path agrees with the scalar exact path everywhere except
 measure-zero ties of the real-input quantizer.
 
+Before any draw, ``simulate`` takes ``ds_analytic = d0_analytic + excess``
+from ``evaluation.analytic_point``, as every report does, so a scale that
+takes one of them out of the normal float range ends in ``InvalidInput``.
+
 ``simulate`` draws each chunk of ``CHUNK`` samples whole, in the seeded
 order, and then runs it through the pipeline in blocks of ``BLOCK`` rows, so
 that a block's arrays stay in cache: source point, reach check, nearest
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NotALabel
-from .evaluation import analytic_d0, analytic_excess, analytic_rates, cell_volume
+from .evaluation import analytic_point, analytic_rates, cell_volume, normal_float
 from .labeling import DirectedEdge, Labeling, orientation_flip
 from .lattices import Lattice, int_point
 from .sublattices import bulk_coset_index
@@ -112,29 +116,20 @@ class ScaledDesign:
     def index(self) -> int:
         return self.labeling.index
 
-    def d0_analytic(self) -> float:
-        return analytic_d0(self.lattice, self.beta)
-
-    def ds_analytic(self) -> float:
-        return self.d0_analytic() + analytic_excess(self.labeling, self.beta)
-
-    def rates_analytic(self, h_bits: float):
-        return analytic_rates(self.lattice, self.index, self.beta, h_bits)
-
 
 def source_entropy_bits(source: SourceSpec, design: ScaledDesign) -> float:
     """Differential entropy per sample (bits) of the configured source."""
+    cause = f"source {source.label()}"
     if source.kind == "uniform":
-        if 2.0 * source.param == math.inf:
-            raise InvalidInput(f"source {source.label()} is too wide: 2*W overflows a float")
-        return math.log2(2.0 * source.param)
+        return math.log2(normal_float(lambda: 2.0 * source.param, cause, "the width 2W"))
     if source.kind == "gauss":
-        power = 2.0 * math.pi * math.e * (source.param * source.param)
-        if not 0.0 < power < math.inf:
-            raise InvalidInput(f"source {source.label()}: 2*pi*e*S^2 is not a float in (0, inf)")
+        s = source.param
+        power = normal_float(lambda: 2.0 * math.pi * math.e * (s * s), cause, "2 pi e S^2")
         return 0.5 * math.log2(power)
     m = int(source.param)
-    vol = m**design.dim * design.index * cell_volume(design.lattice, design.beta)
+    vol = normal_float(
+        lambda: m**design.dim * design.index * cell_volume(design.lattice, design.beta), cause, "m^L N nu"
+    )
     return math.log2(vol) / design.dim
 
 
@@ -416,12 +411,12 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
     dim = lat.dim
     beta = design.beta
     period = int(source.param) if source.kind == "periods" else 0
-    # Every entry of grid @ Gt^T is below period * max_i sum_j |Gt_ij|.  The
-    # check runs before the entropy, whose float product m^L N nu it bounds.
+    # Every entry of grid @ Gt^T is below period * max_i sum_j |Gt_ij|.
     if period * max(sum(map(abs, row)) for row in sub.gtilde_rows) >= 2**63:
         raise InvalidInput(f"period count {source.param:g} leaves the int64 range on this design")
-    # The analytic rates check the scale (``cell_volume``) before any draw.
-    r0, r = design.rates_analytic(source_entropy_bits(source, design))
+    # The analytic values check the scale before any draw.
+    point = analytic_point(lab, beta)
+    r0, r = analytic_rates(lat, sub.index, beta, source_entropy_bits(source, design))
     enc = BulkEncoder(lab)
     # Integer rows are cast before the product so that it runs in BLAS, which
     # an int64 @ float64 product does not.  Each entry of a row times a basis
@@ -519,6 +514,6 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
         h2=h2 / dim,
         r0_analytic=r0,
         r_analytic=r,
-        d0_analytic=design.d0_analytic(),
-        ds_analytic=design.ds_analytic(),
+        d0_analytic=point.d0,
+        ds_analytic=point.ds,
     )

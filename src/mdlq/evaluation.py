@@ -1,6 +1,12 @@
 """Analytic rate/distortion evaluation, distortion bounds, and the
 high-rate asymptotics sweeps.
 
+A design's analytic values are formed here once: ``analytic_point`` gives
+d0, the excess and ds = d0 + excess, which every report reads.  One range
+rule (``normal_float``) holds where each float is formed: a value whose exact
+term is positive must be a normal float, else ``InvalidInput``; an exact
+zero stays 0.0.
+
 The side-distortion sandwich is checked in exact rational arithmetic: with
 d0 subtracted and beta^2 factored out, all three bound terms are rationals,
 so the inequalities hold exactly or not at all.
@@ -13,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InadmissibleIndex, InvalidInput, MdlqError
+from .errors import InadmissibleIndex, InvalidInput, MdlqError, PropertyCheckFailed
 from .labeling import Labeling, build_labeling
 from .lattices import Lattice, filled_shell, get_lattice, shell_prefix, sphere_second_moment
 from .sublattices import design_sublattice, find_params, sublattice_indices
@@ -24,23 +30,31 @@ from .sublattices import design_sublattice, find_params, sublattice_indices
 # ---------------------------------------------------------------------------
 
 
-def cell_volume(lat: Lattice, beta: float) -> float:
-    """Volume nu(beta Lambda) of a Voronoi cell of the scaled lattice;
-    InvalidInput unless it lies in the normal float range."""
+def normal_float(form, cause: str, what: str) -> float:
+    """The float ``form()`` of a value whose exact term is positive;
+    InvalidInput, naming ``cause``, unless it is a normal float.  An overflow
+    (to inf, or an OverflowError of ``**``), an underflow (to 0.0 or a
+    subnormal) or a division by an underflowed term would report a wrong
+    value."""
     try:
-        vol = beta**lat.dim * lat.fundamental_volume
-    except OverflowError:
-        vol = math.inf
-    if not sys.float_info.min <= vol < math.inf:
-        raise InvalidInput(
-            f"beta={beta} puts the cell volume beta^{lat.dim} nu outside the normal float range"
-        )
-    return vol
+        value = form()
+    except ArithmeticError:
+        value = math.nan
+    if not sys.float_info.min <= value < math.inf:
+        raise InvalidInput(f"{cause} takes {what} beyond the normal float range")
+    return value
+
+
+def cell_volume(lat: Lattice, beta: float) -> float:
+    """Volume nu(beta Lambda) of a Voronoi cell of the scaled lattice."""
+    what = f"the cell volume beta^{lat.dim} nu"
+    return normal_float(lambda: beta**lat.dim * lat.fundamental_volume, f"beta={beta}", what)
 
 
 def analytic_d0(lat: Lattice, beta: float) -> float:
     """Central distortion d0 = G(Lambda) nu(beta Lambda)^(2/L)."""
-    return lat.second_moment() * cell_volume(lat, beta) ** (2.0 / lat.dim)
+    g = lat.second_moment()
+    return normal_float(lambda: g * cell_volume(lat, beta) ** (2.0 / lat.dim), f"beta={beta}", "d0")
 
 
 def analytic_rates(lat: Lattice, n: int, beta: float, h_bits: float):
@@ -51,29 +65,44 @@ def analytic_rates(lat: Lattice, n: int, beta: float, h_bits: float):
 
 
 def rate_targeted_beta(lat: Lattice, rate: float, a: float, h_bits: float) -> float:
-    """Scale factor for a target per-channel rate: beta^L = 2^(L h) 2^(-L R(1+a)) / (2^L nu);
-    InvalidInput unless it is a finite number > 0."""
+    """Scale factor for a target per-channel rate: beta^L = 2^(L h) 2^(-L R(1+a)) / (2^L nu)."""
     e = h_bits - rate * (1.0 + a) - 1.0
-    beta = 2.0**e / lat.fundamental_volume ** (1.0 / lat.dim) if e < 1024 else math.inf
-    if not (math.isfinite(beta) and beta > 0):
-        raise InvalidInput(f"rate {rate} gives beta={beta}, not a finite number > 0")
-    return beta
+    nu = lat.fundamental_volume
+    return normal_float(lambda: 2.0**e / nu ** (1.0 / lat.dim), f"rate {rate}", "beta")
 
 
-def analytic_excess(labeling: Labeling, beta: float) -> float:
-    """Mean labeling excess (1/N) sum d_s(e), scaled by beta^2."""
-    return beta * beta * float(labeling.cost_total) / labeling.index
+@dataclass(frozen=True)
+class AnalyticPoint:
+    """The analytic distortions of a design at scale beta: d0, the labeling
+    excess beta^2 (1/N) sum d_s(e), and ds = d0 + excess."""
+
+    d0: float
+    excess: float
+    ds: float
+
+
+def analytic_point(labeling: Labeling, beta: float) -> AnalyticPoint:
+    d0 = analytic_d0(labeling.lattice, beta)
+    cost, n = labeling.cost_total, labeling.index
+    excess = 0.0  # an exact zero stays 0.0
+    if cost:
+        excess = normal_float(lambda: beta * beta * float(cost) / n, f"beta={beta}", "the excess")
+    return AnalyticPoint(d0, excess, normal_float(lambda: d0 + excess, f"beta={beta}", "ds"))
 
 
 @dataclass
 class BoundSandwich:
+    point: AnalyticPoint
     lower: float
-    mid: float
     upper: float
     # beta^2 coefficients of the three terms above d0, exact.
     lower_term: Fraction
     mid_term: Fraction
     upper_term: Fraction
+
+    @property
+    def mid(self) -> float:
+        return self.point.ds
 
     def holds(self) -> bool:
         return self.lower_term <= self.mid_term <= self.upper_term
@@ -82,28 +111,23 @@ class BoundSandwich:
 def bound_sandwich(labeling: Labeling, beta: float = 1.0) -> BoundSandwich:
     """Lower/middle/upper side-distortion values for a scaled design.
 
-    lower = d0 + (1/4N) sum l^2(e) * beta^2, mid inserts the exact excess,
+    lower = d0 + (1/4N) sum l^2(e) * beta^2, mid is ds = d0 + excess,
     upper adds (2 R(Lambda'))^2 with R the sublattice covering radius.
     """
     n = labeling.index
     lengths = labeling.edge_lengths_sq()
-    sum_l2 = sum(lengths, Fraction(0))
-    lower_term = sum_l2 / (4 * n)
-    mid_term = labeling.cost_total / n
+    lower_term = sum(lengths, Fraction(0)) / (4 * n)
     # The covering-radius slack only enters through positive-length edges;
     # the N=1 design (zero edge only) has no side penalty at all.
     rstar_sq = 4 * labeling.sub.covering_radius_sq() if any(lengths) else Fraction(0)
     upper_term = lower_term + rstar_sq
-    d0 = analytic_d0(labeling.lattice, beta)
-    b2 = beta * beta
-    return BoundSandwich(
-        d0 + b2 * float(lower_term),
-        d0 + b2 * float(mid_term),
-        d0 + b2 * float(upper_term),
-        lower_term,
-        mid_term,
-        upper_term,
+    point = analytic_point(labeling, beta)
+    d0 = point.d0
+    lower, upper = (
+        normal_float(lambda: d0 + beta * beta * float(t), f"beta={beta}", "a bound") if t else d0
+        for t in (lower_term, upper_term)
     )
+    return BoundSandwich(point, lower, upper, lower_term, labeling.cost_total / n, upper_term)
 
 
 def edge_histogram(labeling: Labeling):
@@ -118,7 +142,7 @@ def edge_histogram(labeling: Labeling):
     for l2 in labeling.edge_lengths_sq():
         i = l2 * lat.dim / labeling.sub.scale_sq
         if i.denominator != 1:
-            raise MdlqError(f"edge length {l2} is not on the shell grid")
+            raise PropertyCheckFailed("edge-histogram", f"edge length {l2} is not on the shell grid")
         hist[int(i)] = hist.get(int(i), 0) + 1
     kmax = max(hist)
     shells = lat.shells(kmax).A
@@ -172,19 +196,17 @@ def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0
         rate = (math.log2(n) / l - 1.0) / a
         beta = rate_targeted_beta(lat, rate, a, h_bits)
         sum_l2 = sum_i_ai * n ** (2.0 / l) / l
-        d_tilde = beta * beta * sum_l2 / (4.0 * n)
-        try:
-            d0 = analytic_d0(lat, beta)
-            ratio = d_tilde * 2.0 ** (2.0 * rate * (1.0 - a)) / 2.0 ** (2.0 * h_bits)
-            d0_norm = d0 * 2.0 ** (2.0 * rate * (1.0 + a)) * 4.0 / 2.0 ** (2.0 * h_bits)
-        except (ArithmeticError, InvalidInput):  # beta^L or 2^(2h) leaves the float range
-            d0 = ratio = d0_norm = math.nan
-        # Outside the normal float range these values have lost their precision.
-        values = (beta * beta, d_tilde, d0, ratio, d0_norm)
-        if not all(sys.float_info.min <= v < math.inf for v in values):
-            raise InvalidInput(
-                f"entropy {h_bits} bits takes the N={n} row beyond the normal float range"
-            )
+        # Outside the normal float range these values would have lost their precision.
+        cause, what = f"entropy {h_bits} bits", f"the N={n} row"
+        b2 = normal_float(lambda: beta * beta, cause, what)
+        d_tilde = normal_float(lambda: b2 * sum_l2 / (4.0 * n), cause, what)
+        d0 = analytic_d0(lat, beta)
+        ratio = normal_float(
+            lambda: d_tilde * 2.0 ** (2.0 * rate * (1.0 - a)) / 2.0 ** (2.0 * h_bits), cause, what
+        )
+        d0_norm = normal_float(
+            lambda: d0 * 2.0 ** (2.0 * rate * (1.0 + a)) * 4.0 / 2.0 ** (2.0 * h_bits), cause, what
+        )
         rows.append(
             {
                 "N": n,
@@ -287,19 +309,11 @@ def figure_data(kind: str, **kwargs):
         for name, ns in (("A2", a2_ns), ("Z", z_ns)):
             lat = get_lattice("A2" if name == "A2" else "Z1")
             for n in ns:
-                lab = build_design(lat.name, n)
-                l = lat.dim
                 # Constant N * nu(beta Lambda) = 1 along the curve = constant rate.
-                beta = (1.0 / (n * lat.fundamental_volume)) ** (1.0 / l)
-                sand = bound_sandwich(lab, beta)
-                if not sand.holds():
-                    raise MdlqError(f"bound sandwich violated for {name} N={n}")
-                _, rate = analytic_rates(lat, n, beta, 0.0)
-                excess = analytic_excess(lab, beta)
-                d0 = analytic_d0(lat, beta)
-                rows.append(
-                    [name, n * n if name == "Z" else n, n, beta, rate, d0, sand.mid, excess]
-                )
+                beta = (1.0 / (n * lat.fundamental_volume)) ** (1.0 / lat.dim)
+                rep = design_report(build_design(lat.name, n), beta)
+                n_reported = n * n if name == "Z" else n
+                rows.append([name, n_reported, n, beta, rep.r, rep.d0_analytic, rep.ds_analytic, rep.excess])
         return header, rows
 
     if kind == "fig10":
@@ -317,22 +331,10 @@ def figure_data(kind: str, **kwargs):
         for name in sorted(sweeps):
             lat = get_lattice(name)
             for n in sweeps[name]:
-                lab = build_design(name, n)
-                sand = bound_sandwich(lab, 1.0)
-                if not sand.holds():
-                    raise MdlqError(f"bound sandwich violated for {name} N={n}")
-                excess = analytic_excess(lab, 1.0)
-                rows.append(
-                    [
-                        name,
-                        lat.dim,
-                        n,
-                        n ** (1.0 / lat.dim),
-                        excess,
-                        sand.lower - sand.mid + excess,
-                        sand.upper - sand.mid + excess,
-                    ]
-                )
+                rep = design_report(build_design(name, n))
+                # The bounds' excesses: lower and upper less d0.
+                low, up = (bound - rep.ds_analytic + rep.excess for bound in (rep.lower, rep.upper))
+                rows.append([name, lat.dim, n, n ** (1.0 / lat.dim), rep.excess, low, up])
     return header, rows
 
 
@@ -376,20 +378,22 @@ class DesignReport:
 
 
 def design_report(labeling: Labeling, beta: float = 1.0, h_bits: float = 0.0) -> DesignReport:
+    """The analytic values of a design at scale beta; PropertyCheckFailed
+    unless its bound sandwich holds."""
     sand = bound_sandwich(labeling, beta)
-    if not sand.holds():
-        raise MdlqError("bound sandwich violated")
     lat = labeling.lattice
+    if not sand.holds():
+        detail = f"{lat.name} N={labeling.index}: not lower <= ds <= upper"
+        raise PropertyCheckFailed("bound-sandwich", detail)
     r0, r = analytic_rates(lat, labeling.index, beta, h_bits)
-    excess = analytic_excess(labeling, beta)
     return DesignReport(
         lattice=lat.name,
         params=tuple(labeling.sub.params),
         index=labeling.index,
         beta=beta,
-        d0_analytic=analytic_d0(lat, beta),
-        excess=excess,
-        ds_analytic=sand.mid,
+        d0_analytic=sand.point.d0,
+        excess=sand.point.excess,
+        ds_analytic=sand.point.ds,
         lower=sand.lower,
         upper=sand.upper,
         r0=r0,

@@ -105,21 +105,21 @@ def criterion4_report():
     t0 = time.time()
     rep = simulate(d, SourceSpec.parse("periods:20"), 1_000_000, seed=20)
     rep.elapsed = time.time() - t0
-    return d, rep
+    return rep
 
 
 def test_criterion_4_analytic_vs_empirical(criterion4_report):
-    d, rep = criterion4_report
+    rep = criterion4_report
     assert rep.elapsed < 60.0
-    assert abs(rep.d0 / d.d0_analytic() - 1.0) < 0.02
-    assert abs(rep.ds / d.ds_analytic() - 1.0) < 0.02
+    assert abs(rep.d0 / rep.d0_analytic - 1.0) < 0.02
+    assert abs(rep.ds / rep.ds_analytic - 1.0) < 0.02
     assert abs(rep.d1 - rep.d2) / rep.ds < 0.01
     _report(
         "criterion-4",
         "d0 err %.2e, ds err %.2e, balance %.2e, %.1fs"
         % (
-            abs(rep.d0 / d.d0_analytic() - 1.0),
-            abs(rep.ds / d.ds_analytic() - 1.0),
+            abs(rep.d0 / rep.d0_analytic - 1.0),
+            abs(rep.ds / rep.ds_analytic - 1.0),
             abs(rep.d1 - rep.d2) / rep.ds,
             rep.elapsed,
         ),
@@ -127,7 +127,7 @@ def test_criterion_4_analytic_vs_empirical(criterion4_report):
 
 
 def test_criterion_5_rate_law(criterion4_report):
-    _, rep = criterion4_report
+    rep = criterion4_report
     assert abs(rep.h1 - rep.r_analytic) < 0.05
     assert abs(rep.h2 - rep.r_analytic) < 0.05
     _report(

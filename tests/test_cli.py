@@ -370,16 +370,25 @@ def test_asymptotic_entropy_beyond_float_range_rejected(capsys, entropy):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eval", "--beta", "1e200"],
-        ["eval", "--beta", "1e-200"],
-        ["simulate", "--beta", "1e300", "--source", "uniform:1e300", "--samples", "10"],
-        ["simulate", "--beta", "1", "--samples", "10", "--seed", "-1"],
+        ["eval", "--lattice", "A2", "--index", "7", "--beta", "1e200"],
+        ["eval", "--lattice", "A2", "--index", "7", "--beta", "1e-200"],
+        ["simulate", "--lattice", "A2", "--index", "7", "--beta", "1e300", "--source", "uniform:1e300",
+         "--samples", "10"],
+        ["simulate", "--lattice", "A2", "--index", "7", "--beta", "1", "--samples", "10", "--seed", "-1"],
+        ["simulate", "--lattice", "Z1", "--index", "5", "--beta", "1e300", "--samples", "10"],
+        ["eval", "--lattice", "Z1", "--index", "5", "--beta", "1e200"],
+        ["eval", "--lattice", "Z1", "--index", "1001", "--beta", "1e153"],
+        ["eval", "--lattice", "Z1", "--index", "5", "--beta", "1e-300"],
+        ["eval", "--lattice", "Z1", "--index", "5", "--beta", "1e-160"],
     ],
 )
 def test_scale_or_seed_out_of_range_is_invalid_input(capsys, argv):
     # beta^L overflowed in a traceback or underflowed to a "math domain
     # error", and numpy rejected the negative seed with its own ValueError.
-    code, out, err = run(capsys, *argv[:1], "--lattice", "A2", "--index", "7", *argv[1:])
+    # On Z1, d0 = beta^2 / 12 overflowed in a traceback past beta = 1.3e154;
+    # at N = 1001 the bounds printed Infinity, and at 1e-300 and 1e-160 the
+    # report held d0 = 0.0 and a subnormal d0.
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("InvalidInput:") and out == ""
 
@@ -673,6 +682,7 @@ _BASES = [
     (["simulate", "--lattice=Z1", "--index=5", "--rate=2", "--source=uniform:2", "--samples=1000"],
      _SIMULATE),
     (["eval", "--lattice=A2", "--index=7", "--beta=0.5"], _REPORT),
+    (["eval", "--lattice=Z1", "--index=5", "--beta=0.5"], _REPORT),  # d0 scales with beta^2
     (["eval", "--lattice=Z2", "--index=13", "--rate=2"], _REPORT),
     (["eval", "--figure=fig9", "--n-max=30"], ["--figure", *_SWEEP]),
     (["eval", "--asymptotic=A2", "--n-max=100"], ["--asymptotic", *_SWEEP]),

@@ -25,7 +25,7 @@ from mdlq.codec import (
     source_entropy_bits,
 )
 from mdlq.errors import InvalidInput, NotALabel
-from mdlq.evaluation import rate_targeted_beta
+from mdlq.evaluation import analytic_rates, design_report, rate_targeted_beta
 from mdlq.labeling import DirectedEdge, direct_edge
 from mdlq.lattices import get_lattice
 
@@ -476,16 +476,16 @@ def test_simulate_seeds_statistically_consistent(lab31):
     src = SourceSpec.parse("periods:6")
     reps = [simulate(d, src, 60_000, seed=s) for s in (1, 2, 3)]
     d0s = [r.d0 for r in reps]
-    assert max(d0s) - min(d0s) < 0.01 * d.d0_analytic() * 5
+    assert max(d0s) - min(d0s) < 0.01 * reps[0].d0_analytic * 5
     for r in reps:
-        assert r.d0 == pytest.approx(d.d0_analytic(), rel=0.02)
+        assert r.d0 == pytest.approx(r.d0_analytic, rel=0.02)
 
 
 def test_simulate_periods_matches_analytics(lab31):
     d = ScaledDesign(lab31, beta=1.0)
     rep = simulate(d, SourceSpec.parse("periods:20"), 200_000, seed=5)
-    assert rep.d0 == pytest.approx(d.d0_analytic(), rel=0.02)
-    assert rep.ds == pytest.approx(d.ds_analytic(), rel=0.02)
+    assert rep.d0 == pytest.approx(rep.d0_analytic, rel=0.02)
+    assert rep.ds == pytest.approx(rep.ds_analytic, rel=0.02)
     assert abs(rep.d1 - rep.d2) / rep.ds < 0.01
     assert abs(rep.h1 - rep.r_analytic) < 0.05
     assert abs(rep.h2 - rep.r_analytic) < 0.05
@@ -496,8 +496,8 @@ def test_simulate_periods_other_families(name, n):
     lab = design(name, n)
     d = ScaledDesign(lab, beta=1.5)
     rep = simulate(d, SourceSpec.parse("periods:10"), 150_000, seed=3)
-    assert rep.d0 == pytest.approx(d.d0_analytic(), rel=0.02)
-    assert rep.ds == pytest.approx(d.ds_analytic(), rel=0.02)
+    assert rep.d0 == pytest.approx(rep.d0_analytic, rel=0.02)
+    assert rep.ds == pytest.approx(rep.ds_analytic, rel=0.02)
     assert abs(rep.h1 - rep.r_analytic) < 0.05
 
 
@@ -505,7 +505,7 @@ def test_simulate_gauss_runs(lab31):
     d = ScaledDesign(lab31, beta=0.2)
     rep = simulate(d, SourceSpec.parse("gauss:3"), 50_000, seed=2)
     # High-rate regime: quantizer distortion close to the cell second moment.
-    assert rep.d0 == pytest.approx(d.d0_analytic(), rel=0.05)
+    assert rep.d0 == pytest.approx(rep.d0_analytic, rel=0.05)
 
 
 def test_periods_sampler_hits_whole_cells(lab31):
@@ -514,15 +514,36 @@ def test_periods_sampler_hits_whole_cells(lab31):
     # cell second moment in expectation.
     d = ScaledDesign(lab31, beta=2.0)
     rep = simulate(d, SourceSpec.parse("periods:3"), 30_000, seed=11)
-    assert rep.d0 == pytest.approx(d.d0_analytic(), rel=0.05)
+    assert rep.d0 == pytest.approx(rep.d0_analytic, rel=0.05)
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z8", 81)])
+def test_simulate_reports_the_analytic_values_of_the_design_report(name, n):
+    lab = design(name, n)
+    rep = simulate(ScaledDesign(lab, beta=0.7), SourceSpec.parse("uniform:1"), 10, seed=1)
+    want = design_report(lab, beta=0.7)
+    # Bit for bit: every report forms ds as d0 + excess.
+    assert (rep.d0_analytic, rep.ds_analytic) == (want.d0_analytic, want.ds_analytic)
+    assert rep.ds_analytic == want.d0_analytic + want.excess
+
+
+def test_simulate_rejects_an_out_of_range_beta_before_any_draw(monkeypatch):
+    # On Z1, d0 scales with beta^2: beta = 1e300 overflows it, and simulate
+    # used to run every sample before the OverflowError.
+    def no_encoder(labeling):
+        raise AssertionError("the encoder was built")
+
+    monkeypatch.setattr(codec, "BulkEncoder", no_encoder)
+    d = ScaledDesign(design("Z1", 5), beta=1e300)
+    with pytest.raises(InvalidInput, match="d0"):
+        simulate(d, SourceSpec.parse("uniform:1"), 10**9, 1)
 
 
 def test_rate_targeted_beta_round_trip(lab31):
     lat = lab31.lattice
     beta = rate_targeted_beta(lat, rate=3.0, a=0.5, h_bits=0.0)
-    d = ScaledDesign(lab31, beta=beta)
     # R0 = R(1+a) + 1 under the N = 2^(L(aR+1)) coupling used in the sweeps.
-    r0, _ = d.rates_analytic(0.0)
+    r0, _ = analytic_rates(lat, lab31.index, beta, 0.0)
     assert r0 == pytest.approx(3.0 * 1.5 + 1.0, abs=1e-12)
 
 
@@ -530,6 +551,6 @@ def test_source_entropy_periods(lab31):
     d = ScaledDesign(lab31, beta=1.0)
     src = SourceSpec.parse("periods:20")
     h = source_entropy_bits(src, d)
-    r0, r = d.rates_analytic(h)
+    r0, r = analytic_rates(d.lattice, d.index, d.beta, h)
     # Uniform over M^L periods: per-channel rate is exactly log2 M.
     assert r == pytest.approx(np.log2(20.0), abs=1e-12)

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from mdlq.errors import InadmissibleIndex, InvalidInput, MdlqError, NoRepresentation
+from mdlq.errors import InadmissibleIndex, InvalidInput, MdlqError, NoRepresentation, PropertyCheckFailed
 from mdlq.evaluation import (
     admissible_asymptotic_indices,
     admissible_design_indices,
@@ -255,6 +257,29 @@ def test_design_report(lab31):
     assert rep.lower <= rep.ds_analytic <= rep.upper
     assert rep.ds_analytic == pytest.approx(rep.d0_analytic + rep.excess, abs=1e-12)
     assert rep.r0 - rep.r == pytest.approx(math.log2(31) / 2, abs=1e-12)
+
+
+def test_design_report_names_a_broken_sandwich(lab31):
+    # A cost above the upper bound's term puts ds above the upper bound.
+    upper = bound_sandwich(lab31).upper_term
+    broken = dataclasses.replace(lab31, cost_total=(upper + 1) * lab31.index)
+    with pytest.raises(PropertyCheckFailed, match="bound-sandwich"):
+        design_report(broken)
+
+
+def test_edge_histogram_names_an_edge_off_the_shell_grid(lab31):
+    broken = dataclasses.replace(lab31)
+    broken.edge_lengths_sq = lambda: [Fraction(1, 3)]
+    with pytest.raises(PropertyCheckFailed, match="edge-histogram"):
+        edge_histogram(broken)
+
+
+@pytest.mark.parametrize("beta,what", [(1e300, "d0"), (5e153, "the excess"), (1e-160, "d0"), (1e-300, "d0")])
+def test_analytic_values_outside_the_normal_float_range_are_invalid_input(beta, what):
+    # On Z1, d0, the excess and the bounds scale with beta^2: they overflowed
+    # in a traceback, printed Infinity, or were silently 0.0 or subnormal.
+    with pytest.raises(InvalidInput, match=re.escape(f"beta={beta} takes {what} beyond the normal float")):
+        design_report(design("Z1", 5), beta)
 
 
 def test_admissible_design_indices_small():

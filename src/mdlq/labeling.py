@@ -9,7 +9,9 @@ Construction pipeline (all exact integer / rational arithmetic):
 2. ``_relocate``          -- relocate edge classes so their midpoints are as
                             close as possible to the points being labeled.
 3. ``optimal_class_matching`` -- group-reduced exact min-cost assignment of
-                            discrete-Voronoi cosets to edge classes.
+                            discrete-Voronoi cosets to edge classes, one
+                            transportation over types of class orbits; every
+                            tie goes to the first candidate in order.
 4. color / direction rules -- turn the undirected label into a directed one
                             so the two channels stay balanced.
 
@@ -277,7 +279,14 @@ def optimal_class_matching(sub: SimilarSublattice, base_endpoints, group: Symmet
     The cost of matching the orbit of point p0 with the orbit of class k0 is
     ``order * min_g d_s(p0, alpha*(p0, [g k0]))`` -- the inner minimum ranges
     over the distinct classes of the orbit ("twists"), which preserves exact
-    optimality of the reduced problem.  Returns anchor pairs
+    optimality of the reduced problem.  d_s(p, delta) is ||delta||^2 / 4, the
+    same for every twist, plus the squared distance from p - delta/2 to the
+    sublattice, which depends on delta only mod 2 Lambda'.  So class orbits
+    whose twists have the same sublattice coordinates mod 2 form one type of
+    columns equal up to a constant; ``min_cost_assignment`` routes point orbits
+    to types (ties: first type of least distance, first row of least gain), and
+    a type's point orbits take its class orbits in order, each anchored at its
+    first minimal twist in sorted order.  Returns anchor pairs
     ``{point_orbit_rep: class_key}`` and the exact total cost.
     """
     reps = [r for r in sub.voronoi_reps if any(r)]
@@ -290,22 +299,29 @@ def optimal_class_matching(sub: SimilarSublattice, base_endpoints, group: Symmet
     porbs = _coset_orbits(sub, group, reps)
     if len(porbs) != len(corbs):
         raise SizeMismatch(f"{len(porbs)} point orbits vs {len(corbs)} class orbits")
-    m = group.order
+    m, dim = group.order, sub.dim
     twists = [sorted({class_key(_imatvec(g, k0)) for g in group.elements}) for k0 in corbs]
-    classes = np.array([k for ks in twists for k in ks])
+    mod2 = [frozenset(tuple(x // sub.index % 2 for x in _imatvec(sub.adjugate, k)) for k in ks)
+            for ks in twists]
+    types = {}
+    col_type = [types.setdefault(key, len(types)) for key in mod2]  # numbered in class-orbit order
+    _, firsts, caps = np.unique(col_type, return_index=True, return_counts=True)
+    tw = np.array(twists, dtype=np.int64).reshape(len(corbs), m // 2, dim)
+    pts = np.array(porbs, dtype=np.int64).reshape(-1, dim)
+
+    def ds2(orbit):  # 2L d_s of each point orbit p against the twists of class orbit orbit[p]
+        lam = np.repeat(pts, m // 2, axis=0)
+        return _relocate(sub, lam, tw[orbit].reshape(-1, dim))[1].reshape(-1, m // 2)
     # Costs are kept as integers 2L * m * d_s; every d_s has denominator 2L.
-    # One bulk relocation per point orbit; each twist orbit (m/2 classes in
-    # sorted order) keeps its first minimum.
-    cost = []
-    best_key = []
-    for p0 in porbs:
-        ds2 = _relocate(sub, np.array([p0]), classes)[1].reshape(len(twists), -1)
-        pick = ds2.argmin(axis=1)
-        cost.append([m * c for c in ds2.min(axis=1).tolist()])
-        best_key.append([ks[i] for ks, i in zip(twists, pick.tolist())])
-    cols, total = min_cost_assignment(cost)
-    anchors = {porbs[i]: best_key[i][cols[i]] for i in range(len(porbs))}
-    return anchors, Fraction(total, 2 * sub.dim)
+    # One relocation per type keeps the working arrays at one row per twist.
+    reduced = m * np.array([ds2(np.full(len(porbs), f)).min(axis=1) for f in firsts]).T
+    row_type, _ = min_cost_assignment(reduced, caps)
+    # Within each type, point orbits in order take class orbits in order.
+    orbit = np.zeros(len(porbs), dtype=np.intp)
+    orbit[np.argsort(row_type, kind="stable")] = np.argsort(col_type, kind="stable")
+    cost = ds2(orbit)
+    anchors = {p0: twists[c][i] for p0, c, i in zip(porbs, orbit, cost.argmin(axis=1).tolist())}
+    return anchors, Fraction(m * sum(cost.min(axis=1).tolist()), 2 * dim)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Test references: the hand-constructed labeling of the hexagonal N=31
 design, the scalar side distortion, the brute-force nearest sublattice
 point and the edge relocation built on it, the exhaustive optimum of small
-designs, the assignment solver that moves every potential
+designs, the square assignment solver that moves every potential
 at every step, and the asymptotic sweep computed one index at a time.
 
 This is the classic worked assignment for the index-31 hexagonal design in
@@ -126,9 +126,9 @@ def brute_force_min_cost(sub: SimilarSublattice) -> Fraction:
 
 
 def eager_min_cost_assignment(cost):
-    """The shortest augmenting path solver that moves every potential by
-    ``delta`` at every step: the oracle of ``mdlq.assignment``'s column
-    choices (ties go to the first minimal column)."""
+    """The square Hungarian solver that moves every potential by ``delta``
+    at every step: the oracle of the optimal totals of ``mdlq.assignment``,
+    posed with each type's column repeated as often as its capacity."""
     n = len(cost)
     if n == 0:
         return [], 0

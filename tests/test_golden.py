@@ -7,8 +7,11 @@ label entropy still sorted whole rows with ``np.unique(axis=0)``; they cover
 each source kind, more than one chunk, and label keys too wide to pack
 without ranking the packed prefix (Z8/81 ``gauss:3000``) and a column
 (A2/7 ``gauss:1e12``).  ``design_sha256.json`` pins the serialized design of every
-acceptance-sweep design and of the benchmark's build ladder, as written by
-the Fraction-based assignment solver before it was replaced.
+acceptance-sweep design and of the benchmark's build ladder, as written with
+the typed transportation solver's tie rule.  ``design_cost.json`` pins the
+exact optimal cost of those designs and of six large ones, as the n x n
+Hungarian solver found it before the typed solver replaced it: a tie rule may
+pick another optimum, but never another cost.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ from mdlq.evaluation import build_design
 
 DATA = Path(__file__).parent / "data"
 DESIGN_SHA256 = json.loads((DATA / "design_sha256.json").read_text())
+DESIGN_COST = json.loads((DATA / "design_cost.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -58,3 +62,11 @@ def test_design_bytes_pinned(key):
     name, n = key.split("/")
     doc = json.dumps(build_design(name, int(n)).to_dict(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == DESIGN_SHA256[key]
+
+
+@pytest.mark.parametrize("key", sorted(DESIGN_COST))
+def test_design_cost_pinned(key):
+    """Each design is built and verified and reaches the recorded optimum."""
+    name, n = key.split("/")
+    cost = build_design(name, int(n)).to_dict()["cost_summary"]
+    assert {k: cost[k] for k in ("total_num", "total_den")} == DESIGN_COST[key]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,6 +136,7 @@ def edge_histogram(labeling: Labeling):
 
     Each squared edge length is i * N^(2/L) / L for an integer shell index i;
     the construction promises B_i = A_i below the last shell and B_K <= A_K.
+    A_i is counted over the ball of norm K, the design's own shells.
     """
     lat = labeling.lattice
     n = labeling.index
@@ -145,9 +147,9 @@ def edge_histogram(labeling: Labeling):
             raise PropertyCheckFailed("edge-histogram", f"edge length {l2} is not on the shell grid")
         hist[int(i)] = hist.get(int(i), 0) + 1
     kmax = max(hist)
-    shells = lat.shells(kmax).A
-    full_match = all(hist.get(i, 0) == shells[i] for i in range(kmax))
-    last_ok = hist.get(kmax, 0) <= shells[kmax]
+    shells = Counter(lat.norms(list(lat.points_in_shell_ball(kmax))).tolist())
+    last_ok = hist[kmax] <= shells.pop(kmax, 0)
+    full_match = {i: b for i, b in hist.items() if i < kmax} == shells
     return {"B": hist, "K": kmax, "B_eq_A_below_K": full_match, "B_le_A_at_K": last_ok, "N": n}
 
 
@@ -229,13 +231,8 @@ def asymptotic_limit_check(lat: Lattice, n_sequence, a: float, h_bits: float = 0
 
 def admissible_design_indices(lat_name: str, n_max: int):
     """Indices 3 <= N <= n_max for which a full labeling design builds and verifies."""
-    lat = get_lattice(lat_name)
     out = []
-    for n in range(3, n_max + 1):
-        try:
-            find_params(lat, n)
-        except MdlqError:
-            continue
+    for n in sorted(n for n in sublattice_indices(get_lattice(lat_name), n_max) if n >= 3):
         try:
             build_design(lat_name, n)
         except MdlqError:
@@ -247,12 +244,11 @@ def admissible_design_indices(lat_name: str, n_max: int):
 _design_cache: dict = {}
 
 
-def build_design(lat_name: str, n: int, params=None) -> Labeling:
+def build_design(lat_name: str, n: int) -> Labeling:
     """Build a design once per process; later calls return the same object."""
-    key = (lat_name, n, tuple(params) if params else None)
+    key = (lat_name, n)
     if key not in _design_cache:
-        sub = design_sublattice(lat_name, index=n, params=params)
-        _design_cache[key] = build_labeling(sub)
+        _design_cache[key] = build_labeling(design_sublattice(lat_name, index=n))
     return _design_cache[key]
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,7 +46,7 @@ from .errors import (
     SizeMismatch,
     ZeroEdge,
 )
-from .lattices import Lattice, get_lattice, int_point, shell_prefix
+from .lattices import Lattice, get_lattice, int_point
 from .sublattices import SimilarSublattice, _imatvec, bulk_coset_index, bulk_nearest2
 from .symmetry import SymmetryGroup, group_for, minus_identity_group
 
@@ -127,7 +126,7 @@ def _orientation_sign(lat: Lattice, edge, lam) -> int:
     return 0
 
 
-def direct_edge(lat: Lattice, edge, lam, c: int | None = None) -> DirectedEdge:
+def direct_edge(lat: Lattice, edge, lam) -> DirectedEdge:
     """Orient an undirected label for the point it labels.
 
     Color 0 sends the endpoint nearer to ``lam`` on channel 1, color 1 sends
@@ -137,13 +136,11 @@ def direct_edge(lat: Lattice, edge, lam, c: int | None = None) -> DirectedEdge:
     a, b = canonical_edge(*edge)
     if a == b:
         return DirectedEdge(a, b)
-    if c is None:
-        c = color(lat, (a, b))
     s = _orientation_sign(lat, (a, b), lam)
     if s == 0:
         return DirectedEdge(a, b)
     # s > 0 means lam is nearer to a.
-    if (s > 0) == (c == 0):
+    if (s > 0) == (color(lat, (a, b)) == 0):
         return DirectedEdge(a, b)
     return DirectedEdge(b, a)
 
@@ -181,33 +178,30 @@ def base_edge_set(sub: SimilarSublattice):
     """The N shortest undirected sublattice edges {0, p}.
 
     Returns the sorted far endpoints in parent coordinates (the zero edge
-    included as the origin).  Partial shells are completed with whole +-
-    pairs, smallest canonical endpoint first; an odd number of leftover slots
-    cannot keep the set negation-closed and raises AsymmetricEdgeSet.
+    included as the origin).  The shortest vectors come from the ball of the
+    first norm 2^j that holds N points; kmax is the norm of the N-th of them
+    in norm order.  The shells below kmax are taken whole, and shell kmax is
+    completed with whole +- pairs, smallest canonical endpoint first; an odd
+    number of leftover slots cannot keep the set negation-closed and raises
+    AsymmetricEdgeSet.
     """
     lat = sub.lattice
     n = sub.index
-    kmax = bisect_left(shell_prefix(lat, n)[0], n)  # the shell of the N-th point
-    by_norm = {}
-    for u in lat.points_in_shell_ball(kmax):
-        by_norm.setdefault(lat.qshell(u), []).append(u)
-    last = by_norm.pop(kmax)
-    full = [u for pts in by_norm.values() for u in pts]
+    budget = 1
+    while len(ball := list(lat.points_in_shell_ball(budget))) < n:
+        budget *= 2
+    norms = lat.norms(ball).tolist()
+    kmax = sorted(norms)[n - 1]
+    full = [u for u, q in zip(ball, norms) if q < kmax]
+    last = [u for u, q in zip(ball, norms) if q == kmax]
     need = n - len(full)
     if need == len(last):
         chosen = last
     else:
         if need % 2:
-            raise AsymmetricEdgeSet(
-                f"{need} slots remain in shell {kmax}; cannot keep +- pairs"
-            )
-        pairs = {}
-        for u in last:
-            pairs.setdefault(min(u, _neg(u)), u)
-        order = sorted(pairs, key=lambda u: sub.from_sub_coords(u))
-        chosen = []
-        for u in order[: need // 2]:
-            chosen.extend([u, _neg(u)])
+            raise AsymmetricEdgeSet(f"{need} slots remain in shell {kmax}; cannot keep +- pairs")
+        order = sorted({min(u, _neg(u)) for u in last}, key=sub.from_sub_coords)
+        chosen = [v for u in order[: need // 2] for v in (u, _neg(u))]
     return sorted(sub.from_sub_coords(u) for u in full + chosen)
 
 
@@ -223,7 +217,7 @@ def _relocate(sub: SimilarSublattice, lam: np.ndarray, delta: np.ndarray):
     d = np.concatenate([lam - w, lam - w - delta])
     if np.abs(d).max(initial=0) >= 2**27:  # keep the squared lengths exact
         d = d.astype(object)
-    q = ((d @ sub.lattice.gram2) * d).sum(axis=1) // 2
+    q = sub.lattice.norms(d)
     return w, q[: len(w)] + q[len(w) :]
 
 

@@ -63,6 +63,11 @@ class Lattice:
         """Unnormalized squared length L*||u||^2 (an integer)."""
         return self.inner2(u, u) // 2
 
+    def norms(self, points) -> np.ndarray:
+        """L*||u||^2 of each row of ``points``, exact while no product overflows its dtype."""
+        p = np.asarray(points)
+        return ((p @ self.gram2) * p).sum(axis=1) // 2
+
     def inner2(self, u, v) -> int:
         """2x the unnormalized inner product of coordinate vectors (integer);
         see ``int_point`` for the vectors it takes."""

@@ -1,7 +1,20 @@
+from functools import cache
+
 import pytest
 
-from mdlq.evaluation import build_design as design  # the package's design cache
+from mdlq.evaluation import build_design
+from mdlq.labeling import build_labeling
 from mdlq.lattices import get_lattice
+from mdlq.sublattices import design_sublattice
+
+
+@cache
+def design(name, n, params=None):
+    """The package's cached design of index n, or the design on explicit
+    params (such as the worked example's A2/31 frame), built once."""
+    if params is None:
+        return build_design(name, n)
+    return build_labeling(design_sublattice(name, n, params=params))
 
 
 @pytest.fixture(scope="session")

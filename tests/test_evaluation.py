@@ -84,12 +84,35 @@ def test_edge_histogram_n1():
     assert h["B"] == {0: 1}
 
 
-def test_edge_histogram_z2_25():
-    h = edge_histogram(design("Z2", 25))
-    shells = get_lattice("Z2").shells(h["K"]).A
+@pytest.mark.parametrize("name,n", [("Z1", 151), ("Z2", 25), ("Z4", 49), ("Z8", 81), ("A2", 199)])
+def test_edge_histogram_matches_theta_shells(name, n):
+    h = edge_histogram(design(name, n))
+    shells = get_lattice(name).shells(h["K"]).A
     for i in range(h["K"]):
         assert h["B"].get(i, 0) == shells[i]
     assert h["B"][h["K"]] <= shells[h["K"]]
+    assert h["B_eq_A_below_K"] and h["B_le_A_at_K"]
+
+
+def _histogram_of_lengths(lab, lengths):
+    broken = dataclasses.replace(lab)
+    broken.edge_lengths_sq = lambda: lengths
+    return edge_histogram(broken)
+
+
+def test_edge_histogram_flags_a_full_shell_missing_a_vector(lab31):
+    # Shell 1 (6 vectors) lies below K = 7; drop one of its edges.
+    lengths = lab31.edge_lengths_sq()
+    lengths.remove(Fraction(lab31.sub.scale_sq, 2))
+    h = _histogram_of_lengths(lab31, lengths)
+    assert not h["B_eq_A_below_K"] and h["B_le_A_at_K"]
+
+
+def test_edge_histogram_flags_more_edges_than_shell_k_holds(lab31):
+    # All 12 vectors of shell K = 7 are edges already; a 13th overfills it.
+    lengths = [*lab31.edge_lengths_sq(), Fraction(7 * lab31.sub.scale_sq, 2)]
+    h = _histogram_of_lengths(lab31, lengths)
+    assert h["B_eq_A_below_K"] and not h["B_le_A_at_K"]
 
 
 # -- asymptotics -----------------------------------------------------------------

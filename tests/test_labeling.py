@@ -179,6 +179,13 @@ def test_base_edge_set_partial_shell_keeps_pairs():
     assert all(_neg(p) in eps for p in endpoints)
 
 
+@pytest.mark.parametrize("n", [8195, 10001])
+def test_base_edge_set_large_z1_is_the_closed_form(n):
+    # The ball of the N shortest vectors spans norms up to ((N - 1) / 2)^2.
+    m = (n - 1) // 2
+    assert base_edge_set(design_sublattice("Z1", n)) == [(n * u,) for u in range(-m, m + 1)]
+
+
 def test_base_edge_set_odd_leftover_raises():
     # Even index: shell 1 offers 6 points but only 3 slots remain.
     sub = build_sublattice(get_lattice("A2"), (2, 0))

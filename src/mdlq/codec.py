@@ -27,6 +27,12 @@ matrix product.  Each block writes its squared errors into one (3, m, L)
 array per chunk, summed once per plane, so the distortions do not depend on
 ``BLOCK``.
 
+``BulkEncoder.decode`` inverts the encoder on arrays by the rule of the
+scalar ``Labeling.decode_both``: each label's canonical class key, packed in
+mixed radix over the box of the base edge set, is found among the rows' keys
+with ``np.searchsorted``.  ``Labeling.verify_properties`` decodes the base
+edges with it; ``simulate`` does not decode yet.
+
 The side rates H1/H2 are the empirical entropies of the side labels, and
 the raw labels are dropped block by block.  A ``periods:p`` source reads
 every label modulo p, so its labels lie in the alphabet [0, p)^L; where p^L
@@ -57,12 +63,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput, NotALabel
 from .evaluation import analytic_point, analytic_rates, cell_volume, normal_float
-from .labeling import DirectedEdge, Labeling, orientation_flip
+from .labeling import DirectedEdge, Labeling, _int_rows, _packed_classes, orientation_flip
 from .lattices import Lattice, int_point
 from .sublattices import bulk_coset_index
 
@@ -218,7 +225,7 @@ def bulk_coset_reduce(sub, lam: np.ndarray, reps: np.ndarray):
 
 
 class BulkEncoder:
-    """Vectorized encode for a labeling (any dimension, any int64 rows)."""
+    """Vectorized encode and decode for a labeling (any dimension, any int64 rows)."""
 
     def __init__(self, labeling: Labeling):
         sub = labeling.sub
@@ -231,14 +238,18 @@ class BulkEncoder:
         # its index.  Row r of ``ends`` is the first endpoint of row r and row
         # r + N its second; ``coords`` holds the same sublattice points in
         # sublattice coordinates (adj ends / N, exact), so a label at
-        # vp = Gt u has coordinates coords + u.
+        # vp = Gt u has coordinates coords + u.  Endpoints within
+        # coord_bound / 8 keep every sum below in int64; a row that far from
+        # its representative (no built design has one) is kept in Python ints.
         rows = labeling.rows
         self.reps = np.array([r.rep for r in rows], dtype=np.int64)
-        self.ends = np.array([r.first for r in rows] + [r.second for r in rows], dtype=np.int64)
-        self.axis, self.step, self.phase = np.array(
-            [[r.axis for r in rows], [r.step for r in rows], [r.phase for r in rows]], dtype=np.int64
+        self.ends = _int_rows([r.first for r in rows] + [r.second for r in rows], self.coord_bound // 8)
+        self.axis = np.array([r.axis for r in rows], dtype=np.int64)
+        self.step, self.phase = np.array(
+            [[r.step for r in rows], [r.phase for r in rows]], dtype=self.ends.dtype
         )
-        self.coords = self.ends @ np.array(sub.adjugate, dtype=np.int64).T // sub.index
+        self.coords = self.ends @ np.array(sub.adjugate, dtype=self.ends.dtype).T // sub.index
+        self._base = labeling.base_endpoints
 
     def encode(self, lam: np.ndarray):
         """Directed labels for an (n, L) int64 array: (E1, E2, U1, U2), the
@@ -257,6 +268,55 @@ class BulkEncoder:
             self.coords.take(first, axis=0) + u,
             self.coords.take(second, axis=0) + u,
         )
+
+    @cached_property
+    def _classes(self):
+        """(reach, keys, rows): the box [-reach, reach] of the base edge set,
+        the packed class key of every row edge in it, sorted, and the first
+        row of each key, as ``Labeling.class_table`` holds it."""
+        reach = np.abs(np.array(self._base, dtype=np.int64)).max(axis=0)
+        n = len(self.reps)
+        packed, inside = _packed_classes(self.ends[n:] - self.ends[:n], reach)
+        keep = np.flatnonzero(inside)
+        keys, first = np.unique(packed.take(keep), return_index=True)
+        return reach, keys, keep.take(first)
+
+    def decode(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """The point of each label (first, second), rows of two (n, L) integer
+        arrays, by the rule of ``Labeling.decode_both``: the row of the label's
+        class (its key packed in mixed radix and found by ``searchsorted``),
+        the shift from the label's first endpoint, and rep + shift or its
+        mirror by ``orientation_flip``.  NotALabel names the first row whose
+        class has no row or whose shift is off the sublattice.  Labels past
+        ``coord_bound`` are decoded on Python ints, so every int64 row is exact."""
+        bound = self.coord_bound
+        if not all(-bound <= x.min(initial=0) and x.max(initial=0) <= bound for x in (first, second)):
+            first, second = first.astype(object), second.astype(object)
+        reach, keys, class_rows = self._classes
+        d = second - first
+        packed, inside = _packed_classes(d, reach)
+        pos = np.searchsorted(keys, packed).clip(max=len(keys) - 1)
+        found = inside & (keys.take(pos) == packed)
+        if not found.all():
+            i = int(found.argmin())
+            raise NotALabel(f"row {i}: the edge class of {d[i].tolist()} is not part of this design")
+        rows = class_rows.take(pos)
+        n = len(self.reps)
+        forward = (d == self.ends.take(rows + n, axis=0) - self.ends.take(rows, axis=0)).all(axis=1)
+        e = self.ends.take(rows + n * ~forward, axis=0)  # the row endpoint at ``first``
+        shift = first - e
+        off = bulk_coset_index(self.sub, shift) != 0
+        if off.any():
+            i = int(off.argmax())
+            raise NotALabel(
+                f"row {i}: ({first[i].tolist()}, {second[i].tolist()}) is not a shift of a design edge"
+            )
+        at = np.arange(0, shift.size, self.dim) + self.axis.take(rows)
+        flip = orientation_flip(self.phase.take(rows), self.step.take(rows), shift.take(at))
+        keep = (np.asarray(flip, dtype=bool) != forward)[:, None]
+        # rep + shift = first + back, and its mirror first + second - rep - shift = second - back.
+        back = self.reps.take(rows, axis=0) - e
+        return np.where(keep, first + back, second - back)
 
 
 # ---------------------------------------------------------------------------

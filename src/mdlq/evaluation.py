@@ -82,12 +82,22 @@ class AnalyticPoint:
     ds: float
 
 
+def _excess(beta: float, cost: Fraction, n: int) -> float:
+    """beta^2 cost / N as every report forms it, or, where beta^2 cost
+    overflows, the float of the exact value (an OverflowError if it too is
+    out of range)."""
+    value = beta * beta * float(cost) / n
+    if value == math.inf:
+        value = float(Fraction(beta) ** 2 * cost / n)
+    return value
+
+
 def analytic_point(labeling: Labeling, beta: float) -> AnalyticPoint:
     d0 = analytic_d0(labeling.lattice, beta)
     cost, n = labeling.cost_total, labeling.index
     excess = 0.0  # an exact zero stays 0.0
     if cost:
-        excess = normal_float(lambda: beta * beta * float(cost) / n, f"beta={beta}", "the excess")
+        excess = normal_float(lambda: _excess(beta, cost, n), f"beta={beta}", "the excess")
     return AnalyticPoint(d0, excess, normal_float(lambda: d0 + excess, f"beta={beta}", "ds"))
 
 

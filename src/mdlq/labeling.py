@@ -21,7 +21,11 @@ and ``class_table`` maps each edge class to a row index.  ``encode`` shifts
 the row of the point's coset index, ``decode_both`` the row of the label's
 class by the shift taken at the label's first endpoint; both evaluate one
 parity, ``orientation_flip``, which the bulk encoder applies to the same
-table as arrays; ``verify_properties`` checks every row against ``direct_edge``.
+table as arrays.  ``verify_properties`` checks Properties 1-3 on the same table
+as arrays: the bulk encoder and its decoder (``codec.BulkEncoder``) label every
+representative, partner, base edge and shifted representative at once, and
+``_directed``, the array form of ``direct_edge``, gives the direction each
+label must have.
 """
 
 from __future__ import annotations
@@ -49,10 +53,6 @@ from .errors import (
 from .lattices import Lattice, get_lattice, int_point
 from .sublattices import SimilarSublattice, _imatvec, bulk_coset_index, bulk_nearest2
 from .symmetry import SymmetryGroup, group_for, minus_identity_group
-
-
-# Voronoi representatives on which verify_properties checks shift covariance.
-_SHIFT_SAMPLES = 8
 
 
 class DirectedEdge(NamedTuple):
@@ -143,6 +143,54 @@ def direct_edge(lat: Lattice, edge, lam) -> DirectedEdge:
     if (s > 0) == (color(lat, (a, b)) == 0):
         return DirectedEdge(a, b)
     return DirectedEdge(b, a)
+
+
+def _lead(v: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of ``v``; 0 on a zero row."""
+    return np.take_along_axis(v, (v != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+
+
+def _directed(lat: Lattice, a: np.ndarray, b: np.ndarray, lam: np.ndarray):
+    """``direct_edge`` on arrays: the labels (first, second) of the canonical
+    edges (a, b) for the points ``lam``, row by row, on int64 rows or Python
+    ints in object arrays.  The sign of <a - b, lam - mu> is formed in int64
+    while its terms bound it below 2^63, else on Python ints."""
+    d, w2 = a - b, 2 * lam - a - b
+    if d.dtype != object and w2.dtype != object:
+        reach = int(np.abs(d).max(initial=0)) * int(np.abs(w2).max(initial=0))
+        if reach * int(np.abs(lat.gram2).sum()) >= 2**63:
+            d, w2 = d.astype(object), w2.astype(object)
+    s = (d @ lat.gram2 * w2).sum(axis=1)
+    s = np.where(s != 0, s, _lead(w2))  # the tie: first nonzero coordinate of lam - mu
+    j = (d != 0).argmax(axis=1)[:, None]
+    dj = np.abs(np.take_along_axis(d, j, axis=1)[:, 0])
+    col = np.take_along_axis(a + b, j, axis=1)[:, 0] // np.maximum(2 * dj, 1) % 2
+    rev = ((s != 0) & (dj != 0) & ((s > 0) != (col == 0)))[:, None]
+    return np.where(rev, b, a), np.where(rev, a, b)
+
+
+def _packed_classes(delta: np.ndarray, reach: np.ndarray):
+    """The ``class_key`` of each row of the difference array ``delta``, packed
+    in mixed radix over the box [-reach, reach] (first coordinate most
+    significant), and whether it lies in the box; a key outside packs as 0.
+    ``reach`` bounds the base edge set, so the packed keys stay far below 2^63."""
+    key = np.where((_lead(delta) > 0)[:, None], -delta, delta)
+    inside = ((key >= -reach) & (key <= reach)).all(axis=1)
+    radix = np.cumprod(np.append(2 * reach[1:] + 1, 1)[::-1])[::-1]
+    digits = np.where(inside[:, None], key + reach, 0).astype(np.int64)
+    return digits @ radix, inside
+
+
+def _int_rows(points, bound: int) -> np.ndarray:
+    """The (n, L) array of Python-int points: int64 while every coordinate
+    lies within +-bound, else Python ints in an object array."""
+    try:
+        rows = np.array(points, dtype=np.int64)
+        if -bound <= rows.min(initial=0) and rows.max(initial=0) <= bound:
+            return rows
+    except OverflowError:
+        pass
+    return np.array(points, dtype=object)
 
 
 # A table row: rep + vp (vp a sublattice point) is labeled (first + vp,
@@ -407,70 +455,84 @@ class Labeling:
     # -- property verification ----------------------------------------------------
 
     def verify_properties(self) -> None:
-        """Check Properties 1-3 exactly; raise PropertyCheckFailed on violation."""
-        lat = self.lattice
-        sub = self.sub
-        zero = (0,) * lat.dim
+        """Check Properties 1-3 exactly on the row table, each in a few array
+        passes; raise PropertyCheckFailed naming the check and its first bad row."""
+        from .codec import BulkEncoder  # codec imports this module
+
+        lat, sub, n, rows = self.lattice, self.sub, self.index, self.rows
+        enc = BulkEncoder(self)
+        reps, first, second = enc.reps, enc.ends[:n], enc.ends[n:]
+
+        def check(name, bad, detail):
+            if bad.any():
+                raise PropertyCheckFailed(name, detail(int(bad.argmax())))
+
+        def same(x, y):
+            return (x == y).all(axis=1)
+
+        # Every row's edge class is a class of the base edge set.  Property 1
+        # implies it; checked first, it bounds every coordinate formed below.
+        base = np.array(self.base_endpoints, dtype=np.int64)
+        reach = np.abs(base).max(axis=0)
+        keys, inside = _packed_classes(second - first, reach)
+        bad = ~(inside & np.isin(keys, _packed_classes(base, reach)[0]))
+        check("reuse", bad, lambda i: f"{rows[i]}: its edge class is no base edge class")
 
         # Property 3 (+ pairwise balance): each positive-length edge labels two
         # points summing to the edge-endpoint sum, with opposite orientations.
         # Every row is canonical, and its stored direction follows direct_edge.
-        for row in self.rows:
-            rep, edge = row.rep, (row.first, row.second)
-            de_a = self.encode(rep)
-            if edge != canonical_edge(*edge) or de_a != direct_edge(lat, edge, rep):
-                raise PropertyCheckFailed("direction", f"rep {rep} -> {row}")
-            if edge[0] == edge[1]:
-                if edge[0] != zero or rep != zero:
-                    raise PropertyCheckFailed("zero-edge", f"rep {rep} -> {edge}")
-                continue
-            partner = _sub(_add(edge[0], edge[1]), rep)
-            de_b = self.encode(partner)
-            if canonical_edge(*de_b) != edge:
-                raise PropertyCheckFailed(
-                    "midpoint-sum", f"edge {edge} labels {rep} but not {partner}"
-                )
-            if partner != rep and de_b != de_a.reversed():
-                raise PropertyCheckFailed(
-                    "orientation-pairing", f"{rep}:{de_a} vs {partner}:{de_b}"
-                )
+        e1, e2 = enc.encode(reps)[:2]
+        d1, d2 = _directed(lat, first, second, reps)
+        bad = (_lead(second - first) < 0) | ~same(e1, d1) | ~same(e2, d2)
+        check("direction", bad, lambda i: f"rep {rows[i].rep} -> {rows[i]}")
+        zero = same(first, second)
+        bad = zero & ((first != 0) | (reps != 0)).any(axis=1)
+        check("zero-edge", bad, lambda i: f"{rows[i]}")
+        partner = first + second - reps
+        p1, p2 = enc.encode(partner)[:2]
+        bad = ~zero & ~(same(p1, first) & same(p2, second) | same(p1, second) & same(p2, first))
+        check("midpoint-sum", bad, lambda i: f"{rows[i]} labels its rep but not {partner[i].tolist()}")
+        bad = ~zero & ~same(partner, reps) & ~(same(p1, e2) & same(p2, e1))
+        check("orientation-pairing", bad, lambda i: f"{rows[i]}: its partner "
+              f"{partner[i].tolist()} gets ({p1[i].tolist()}, {p2[i].tolist()})")
 
         # Property 1: exactly N points use each sublattice point per channel.
-        # By the shift property it suffices to check the vertex at the origin.
-        firsts = set()
-        seconds = set()
-        for p in self.base_endpoints:
-            for de in (
-                [DirectedEdge(zero, zero)]
-                if p == zero
-                else [DirectedEdge(zero, p), DirectedEdge(p, zero)]
-            ):
-                lam = self.decode_both(de)
-                if self.encode(lam) != de:
-                    raise PropertyCheckFailed("reuse", f"{de} decodes to {lam}, encode mismatch")
-                if de.first == zero:
-                    firsts.add(lam)
-                if de.second == zero:
-                    seconds.add(lam)
-        if len(firsts) != self.index or len(seconds) != self.index:
-            raise PropertyCheckFailed(
-                "reuse", f"vertex 0 labels {len(firsts)}/{len(seconds)} points, expected N"
-            )
+        # By the shift property it suffices to check the vertex at the origin:
+        # each base edge (0, p), (p, 0) and (0, 0) decodes to a point that it
+        # labels.  encode is a function, so distinct labels have distinct
+        # points, and each channel labels N points when the N base endpoints
+        # are distinct.
+        ends = base[base.any(axis=1)]
+        o = np.zeros((len(base) - len(ends), lat.dim), dtype=np.int64)
+        a, b = np.concatenate([0 * ends, ends, o]), np.concatenate([ends, 0 * ends, o])
+        try:
+            lam = enc.decode(a, b)
+        except NotALabel as err:
+            raise PropertyCheckFailed("reuse", f"a base edge at vertex 0 is no label: {err}") from None
+        f1, f2 = enc.encode(lam)[:2]
+        bad = ~same(f1, a) | ~same(f2, b)
+        check("reuse", bad, lambda i: f"({a[i].tolist()}, {b[i].tolist()}) decodes to "
+              f"{lam[i].tolist()}, encode mismatch")
+        count = len(np.unique(base, axis=0))
+        if count != n:
+            raise PropertyCheckFailed("reuse", f"vertex 0 labels {count} points, expected N")
 
-        # Property 2: shift covariance on a deterministic sample.  Every row
-        # is canonical by now, so the undirected label is that of the encoding.
-        gens = [sub.from_sub_coords(u) for u in _unit_vectors(lat.dim)]
-        reps = list(sub.voronoi_reps)
-        for i in range(min(_SHIFT_SAMPLES, len(reps))):
-            lam = reps[(i * 7919) % len(reps)]
-            rhs = self.alpha_u(lam)
-            for s in gens:
-                de = self.encode(_add(lam, s))
-                lhs = canonical_edge(*de)
-                if lhs != (_add(rhs[0], s), _add(rhs[1], s)):
-                    raise PropertyCheckFailed("shift", f"lam={lam}, shift={s}")
-                if de != direct_edge(lat, lhs, _add(lam, s)):
-                    raise PropertyCheckFailed("direction", f"lam={lam}, shift={s}")
+        # Property 2: shift covariance at every representative and each of the
+        # L sublattice generators s: encode(rep + s) is the stored table's edge
+        # of rep moved by s, directed by direct_edge.
+        gens = np.tile(sub.gtilde.T, (n, 1))
+        at = np.repeat(reps, lat.dim, axis=0)
+        lam = at + gens
+        edges = [self.table[rep] for rep in sub.coset_reps]
+        t1, t2 = (np.repeat(_int_rows(e, 2**62), lat.dim, axis=0) + gens for e in zip(*edges))
+        q1, q2 = enc.encode(lam)[:2]
+        swap = (_lead(q2 - q1) < 0)[:, None]  # canonical_edge of the label
+        c1, c2 = np.where(swap, q2, q1), np.where(swap, q1, q2)
+        bad = ~same(c1, t1) | ~same(c2, t2)
+        check("shift", bad, lambda i: f"lam={at[i].tolist()}, shift={gens[i].tolist()}")
+        x1, x2 = _directed(lat, c1, c2, lam)
+        bad = ~same(q1, x1) | ~same(q2, x2)
+        check("direction", bad, lambda i: f"lam={at[i].tolist()}, shift={gens[i].tolist()}")
 
     # -- serialization -------------------------------------------------------------
 
@@ -496,10 +558,6 @@ class Labeling:
                 "mean_excess": float(self.cost_total / self.index),
             },
         }
-
-
-def _unit_vectors(dim):
-    return [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
 
 
 def _expand_anchors(sub: SimilarSublattice, group: SymmetryGroup, anchors):

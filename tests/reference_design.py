@@ -2,7 +2,8 @@
 design, the scalar side distortion, the brute-force nearest sublattice
 point and the edge relocation built on it, the exhaustive optimum of small
 designs, the square assignment solver that moves every potential
-at every step, and the asymptotic sweep computed one index at a time.
+at every step, the asymptotic sweep computed one index at a time, and the
+row-by-row check of Properties 1-3 on the scalar encoder and decoder.
 
 This is the classic worked assignment for the index-31 hexagonal design in
 the frame u = 5 - w (params (5, -1)): each orbit of the order-6 rotation
@@ -23,9 +24,10 @@ from itertools import permutations, product
 
 import numpy as np
 
-from mdlq.errors import InadmissibleIndex, InvalidInput, SizeMismatch
+from mdlq.errors import InadmissibleIndex, InvalidInput, PropertyCheckFailed, SizeMismatch
 from mdlq.evaluation import analytic_d0, rate_targeted_beta
 from mdlq.labeling import (
+    DirectedEdge,
     Labeling,
     _add,
     _neg,
@@ -34,6 +36,7 @@ from mdlq.labeling import (
     build_labeling,
     canonical_edge,
     class_key,
+    direct_edge,
 )
 from mdlq.lattices import Lattice, sphere_second_moment
 from mdlq.sublattices import SimilarSublattice, design_sublattice, find_params
@@ -172,6 +175,57 @@ def eager_min_cost_assignment(cost):
     for j in range(1, n + 1):
         cols[p[j] - 1] = j - 1
     return cols, sum(cost[i][cols[i]] for i in range(n))
+
+
+def scalar_verify_properties(lab: Labeling) -> None:
+    """Properties 1-3 checked one row and one label at a time with the scalar
+    ``encode``, ``decode_both`` and ``direct_edge``: the oracle of the array
+    ``Labeling.verify_properties``, with the same check names.  Shift
+    covariance is checked at every representative; a base edge that is no
+    label ends in the decoder's NotALabel."""
+    lat = lab.lattice
+    zero = (0,) * lat.dim
+
+    for row in lab.rows:
+        rep, edge = row.rep, (row.first, row.second)
+        de_a = lab.encode(rep)
+        if edge != canonical_edge(*edge) or de_a != direct_edge(lat, edge, rep):
+            raise PropertyCheckFailed("direction", f"rep {rep} -> {row}")
+        if edge[0] == edge[1]:
+            if edge[0] != zero or rep != zero:
+                raise PropertyCheckFailed("zero-edge", f"rep {rep} -> {edge}")
+            continue
+        partner = _sub(_add(edge[0], edge[1]), rep)
+        de_b = lab.encode(partner)
+        if canonical_edge(*de_b) != edge:
+            raise PropertyCheckFailed("midpoint-sum", f"edge {edge} labels {rep} but not {partner}")
+        if partner != rep and de_b != de_a.reversed():
+            raise PropertyCheckFailed("orientation-pairing", f"{rep}:{de_a} vs {partner}:{de_b}")
+
+    firsts = set()
+    seconds = set()
+    for p in lab.base_endpoints:
+        for de in [DirectedEdge(zero, zero)] if p == zero else [DirectedEdge(zero, p), DirectedEdge(p, zero)]:
+            lam = lab.decode_both(de)
+            if lab.encode(lam) != de:
+                raise PropertyCheckFailed("reuse", f"{de} decodes to {lam}, encode mismatch")
+            if de.first == zero:
+                firsts.add(lam)
+            if de.second == zero:
+                seconds.add(lam)
+    if len(firsts) != lab.index or len(seconds) != lab.index:
+        raise PropertyCheckFailed("reuse", f"vertex 0 labels {len(firsts)}/{len(seconds)} points, expected N")
+
+    gens = [lab.sub.from_sub_coords(u) for u in np.eye(lat.dim, dtype=int).tolist()]
+    for lam in lab.sub.voronoi_reps:
+        rhs = lab.alpha_u(lam)
+        for s in gens:
+            de = lab.encode(_add(lam, s))
+            lhs = canonical_edge(*de)
+            if lhs != (_add(rhs[0], s), _add(rhs[1], s)):
+                raise PropertyCheckFailed("shift", f"lam={lam}, shift={s}")
+            if de != direct_edge(lat, lhs, _add(lam, s)):
+                raise PropertyCheckFailed("direction", f"lam={lam}, shift={s}")
 
 
 def asymptotic_rows_per_index(lat: Lattice, n_sequence, a: float, h_bits: float = 0.0):

@@ -393,6 +393,15 @@ def test_scale_or_seed_out_of_range_is_invalid_input(capsys, argv):
     assert err.startswith("InvalidInput:") and out == ""
 
 
+def test_eval_reports_an_excess_whose_float_form_overflows(capsys):
+    # beta * beta * cost overflows, but the excess beta^2 cost / N = 5.2e307
+    # and the upper bound 1.50e308 are normal floats (5e153 stays out of range).
+    code, out, err = run(capsys, "eval", "--lattice", "Z1", "--index", "5", "--beta", "2e153")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["excess"] == 5.2e307 and report["upper"] == pytest.approx(1.5033e308, rel=1e-4)
+
+
 @pytest.mark.parametrize(
     "beta,source",
     [
@@ -486,6 +495,17 @@ def test_verify_rejects_a_negated_anchor_class(tmp_path, capsys, a2_31_design):
     code, out, err = _verify(tmp_path, capsys, doc)
     assert code == 1 and out == ""
     assert err.startswith("PropertyCheckFailed:") and "serialization" in err
+
+
+@pytest.mark.parametrize("shift", [31 * (2**62 // 31), 2**70])
+def test_verify_rejects_a_far_anchor_class(tmp_path, capsys, a2_31_design, shift):
+    # The rebuilt rows hold coordinates near or past 2^62; every row's class
+    # must be a base edge class before any product is formed in int64.
+    doc = json.loads(json.dumps(a2_31_design))
+    doc["orbit_matching"][0]["class"][0] += shift
+    code, out, err = _verify(tmp_path, capsys, doc)
+    assert code == 1 and out == ""
+    assert err.startswith("PropertyCheckFailed:") and "reuse" in err and "base edge class" in err
 
 
 def test_verify_checks_the_whole_cost_summary(tmp_path, capsys, a2_31_design):

@@ -26,7 +26,7 @@ from mdlq.codec import (
 )
 from mdlq.errors import InvalidInput, NotALabel
 from mdlq.evaluation import analytic_rates, design_report, rate_targeted_beta
-from mdlq.labeling import DirectedEdge, direct_edge
+from mdlq.labeling import DirectedEdge, class_key, direct_edge
 from mdlq.lattices import get_lattice
 
 from .conftest import design
@@ -298,6 +298,52 @@ def test_bulk_encoder_exact_past_coord_bound(name, n):
         assert (e.astype(object) @ adj.T == sub.index * u.astype(object)).all()
     for p, a, b in zip(lam.tolist(), e1.tolist(), e2.tolist()):
         assert lab.encode(p) == DirectedEdge(tuple(a), tuple(b))
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z4", 49), ("Z8", 81)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bulk_decode_matches_scalar(name, n, data):
+    """``BulkEncoder.decode`` returns the scalar ``decode_both`` point of every
+    bulk-encoded label and of its reverse, near the origin, near
+    +-``coord_bound`` and near +-2^62."""
+    enc, lab = _encoder(name, n), design(name, n)
+    near = st.sampled_from([0, enc.coord_bound, -enc.coord_bound, 2**62, -(2**62)])
+    coord = st.builds(lambda x, k: x + k, near, st.integers(-300, 300))
+    pts = data.draw(st.lists(st.tuples(*[coord] * enc.dim), min_size=1, max_size=12))
+    e1, e2, _, _ = enc.encode(np.array(pts, dtype=np.int64))
+    got, mirror = enc.decode(e1, e2).tolist(), enc.decode(e2, e1).tolist()
+    for p, a, b, lam, other in zip(pts, e1.tolist(), e2.tolist(), got, mirror):
+        assert tuple(lam) == lab.decode_both((a, b)) == p
+        assert tuple(other) == lab.decode_both((b, a))
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z4", 49), ("Z8", 81)])
+def test_bulk_and_scalar_decode_reject_the_same_pairs(name, n):
+    """A label moved off the sublattice, and a pair whose class is in no row
+    (inside the box of the base edge set, where the design has such a
+    sublattice point, and outside it), is no label to either decoder; the bulk
+    decoder names the row."""
+    enc, lab = _encoder(name, n), design(name, n)
+    sub = enc.sub
+    e1, e2, _, _ = enc.encode(np.random.default_rng(15).integers(-40, 40, size=(8, sub.dim)))
+    reach = np.abs(np.array(lab.base_endpoints)).max(axis=0)
+    box = itertools.product(range(-4, 5) if sub.dim <= 2 else range(-1, 2), repeat=sub.dim)
+    absent = [
+        q for q in map(sub.from_sub_coords, box)
+        if class_key(q) not in lab.class_table and (np.abs(q) <= reach).all()
+    ][:1]
+    assert absent or name == "Z2"  # the box of Z2/13 holds no other sublattice point
+    far = sub.from_sub_coords((n,) + (0,) * (sub.dim - 1))
+    moved = np.array(sub.coset_reps[1])
+    zero = np.zeros(sub.dim, dtype=np.int64)
+    for bad in [(e1[3] + moved, e2[3] + moved), *((zero, np.array(q)) for q in [*absent, far])]:
+        with pytest.raises(NotALabel):
+            lab.decode_both(tuple(tuple(x.tolist()) for x in bad))
+        a, b = e1.copy(), e2.copy()
+        a[5], b[5] = bad
+        with pytest.raises(NotALabel, match="row 5"):
+            enc.decode(a, b)
 
 
 # -- label entropy --------------------------------------------------------------------

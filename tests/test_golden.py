@@ -11,8 +11,9 @@ acceptance-sweep design and of the benchmark's build ladder, as written with
 the typed transportation solver's tie rule.  ``design_cost.json`` pins the
 exact optimal cost of those designs and of six large ones, as the n x n
 Hungarian solver found it before the typed solver replaced it: a tie rule may
-pick another optimum, but never another cost.  Z1/10001 was recorded by the
-typed solver; like every Z1 pin, its cost is N (N^4 - 1) / 48.
+pick another optimum, but never another cost.  Z1/10001, Z2/10001 and
+A2/10003 were recorded by the typed solver; like every Z1 pin, the cost of
+Z1/10001 is N (N^4 - 1) / 48.
 """
 
 import hashlib

@@ -32,6 +32,7 @@ from mdlq.labeling import (
     direct_edge,
     labeling_from_dict,
     optimal_class_matching,
+    orientation_flip,
 )
 from mdlq.lattices import get_lattice
 from mdlq.sublattices import build_sublattice, design_sublattice
@@ -44,6 +45,7 @@ from .reference_design import (
     closest_edge_in_class,
     ds_cost,
     hand_labeling_a2_31,
+    scalar_verify_properties,
 )
 
 
@@ -534,6 +536,183 @@ def test_verify_catches_a_non_canonical_row(lab31):
     lab = dataclasses.replace(lab31, table={**lab31.table, rep: (edge[1], edge[0])})
     with pytest.raises(PropertyCheckFailed, match="direction"):
         lab.verify_properties()
+
+
+def _failed_check(verify, lab):
+    """The name of the check that ``verify`` reports failed on ``lab``, or None."""
+    try:
+        verify(lab)
+    except PropertyCheckFailed as err:
+        return err.prop
+    except NotALabel:  # the scalar oracle's decode of a base edge that is no label
+        return "reuse"
+    return None
+
+
+def _both_fail(lab, name):
+    """The array verify and the scalar oracle both report check ``name``."""
+    assert _failed_check(Labeling.verify_properties, lab) == name
+    assert _failed_check(scalar_verify_properties, lab) == name
+
+
+def _with_row(lab, rep, edge):
+    """A copy of ``lab`` whose table gives ``rep`` the edge ``edge``, rows rebuilt."""
+    return dataclasses.replace(lab, table={**lab.table, rep: edge})
+
+
+def test_verify_catches_a_zero_edge_off_the_origin(lab31):
+    rep = lab31.sub.coset_reps[1]  # the first row that the scalar loop checks
+    a, _ = lab31.table[rep]
+    _both_fail(_with_row(lab31, rep, (a, a)), "zero-edge")
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z8", 81)])
+def test_verify_catches_an_edge_moved_along_the_sublattice(name, n):
+    # The class and the direction at the representative stay right; the
+    # partner rep' = a + b - rep moves by 2s and gets another edge.
+    lab = design(name, n)
+    rep = lab.sub.coset_reps[1]
+    a, b = lab.table[rep]
+    s = lab.sub.from_sub_coords((1,) + (0,) * (lab.lattice.dim - 1))
+    _both_fail(_with_row(lab, rep, (_add(a, s), _add(b, s))), "midpoint-sum")
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z4", 49), ("A2", 199)])
+def test_verify_catches_a_partner_with_the_same_orientation(name, n):
+    # Move the phase of the row that labels a partner within its step block,
+    # so the row keeps its direction at vp = 0 but flips at the partner's vp.
+    # That needs a partner whose 2 vp is no multiple of the row's step, which
+    # no row of Z2/13 or Z8/81 has.
+    lab = dataclasses.replace(design(name, n))
+    sub = lab.sub
+    for row in lab.rows:
+        if row.first == row.second:
+            continue
+        partner = _sub(_add(row.first, row.second), row.rep)
+        j = sub._coset_index(partner)
+        other = lab.rows[j]
+        vp = partner[other.axis] - other.rep[other.axis]
+        x, y = other.phase % other.step, (other.phase + 2 * vp) % other.step
+        if x != y:
+            break
+    else:
+        pytest.fail("no partner's vp moves the phase within a step")
+    delta = other.step - 1 - x if y > x else -x
+    flip = orientation_flip(other.phase, other.step, 0)
+    assert orientation_flip(other.phase + delta, other.step, 0) == flip
+    lab.rows[j] = other._replace(phase=other.phase + delta)
+    _both_fail(lab, "orientation-pairing")
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z1", 151)])
+def test_verify_catches_a_base_class_that_no_row_holds(name, n):
+    # Both rows of one class take another class, each relocated for its own
+    # representative: Property 3 holds, but the base edges of the first class
+    # are no label.
+    lab = design(name, n)
+    ri, rj = _same_class_reps(lab)
+    a, b = lab.table[ri]
+    other = next(k for k in map(class_key, lab.base_endpoints) if any(k) and k != class_key(_sub(b, a)))
+    table = {**lab.table, **{r: closest_edge_in_class(lab.sub, r, other) for r in (ri, rj)}}
+    moved = dataclasses.replace(lab, table=table)
+    with pytest.raises(PropertyCheckFailed, match="reuse.*is no label"):
+        moved.verify_properties()
+    assert _failed_check(scalar_verify_properties, moved) == "reuse"
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z8", 81)])
+def test_verify_catches_a_base_edge_that_decodes_wrong(name, n):
+    # A phase moved by half a step that keeps every Property 3 label but
+    # sends a base edge of vertex 0 to a point with another label.
+    base = design(name, n)
+    for i, row in enumerate(base.rows):
+        lab = dataclasses.replace(base)
+        lab.rows[i] = row._replace(phase=row.phase + row.step // 2)
+        if _failed_check(scalar_verify_properties, lab) == "reuse":
+            break
+    else:
+        pytest.fail("no half-step phase breaks only Property 1")
+    assert _failed_check(Labeling.verify_properties, lab) == "reuse"
+
+
+def test_verify_catches_rows_that_differ_from_the_table(lab31):
+    # The stored table, not the row table, is the design: encode reads the
+    # rows, and Property 2 compares each shifted label with the table.
+    lab = dataclasses.replace(lab31)
+    rep = lab.sub.coset_reps[1]
+    a, b = lab.table[rep]
+    lab.table = {**lab.table, rep: (b, a)}
+    _both_fail(lab, "shift")
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z1", 151), ("Z8", 81)])
+@pytest.mark.parametrize("m", [2**40, 2**58, 2**61, 2**70])
+def test_verify_is_exact_on_rows_far_from_their_representatives(name, n, m):
+    # Both rows of one class moved by +s and -s keep Properties 1-3, however
+    # far s is; with one of them also reversed at its representative, both
+    # verifies fail.  Past the int64-safe bounds the arrays hold Python ints.
+    lab = design(name, n)
+    ri, rj = _same_class_reps(lab)
+    s = lab.sub.from_sub_coords((m,) + (0,) * (lab.lattice.dim - 1))
+    table = dict(lab.table)
+    table[ri] = tuple(_add(e, s) for e in table[ri])
+    table[rj] = tuple(_sub(e, s) for e in table[rj])
+    far = dataclasses.replace(lab, table=table)
+    assert _failed_check(Labeling.verify_properties, far) is None
+    assert _failed_check(scalar_verify_properties, far) is None
+    i = lab.sub.coset_reps.index(ri)
+    far.rows[i] = far.rows[i]._replace(phase=far.rows[i].phase + far.rows[i].step)
+    _both_fail(far, "direction")
+
+
+def _same_class_reps(lab):
+    """The two representatives whose rows hold the first nonzero class."""
+    by_class = {}
+    for rep in lab.sub.coset_reps:
+        a, b = lab.table[rep]
+        by_class.setdefault(class_key(_sub(b, a)), []).append(rep)
+    return next(reps for key, reps in by_class.items() if any(key))
+
+
+def _corrupt(lab, rng):
+    """A copy of ``lab`` with one random corruption of its table or rows: a
+    phase moved by half a step or a whole step, a row's endpoints swapped,
+    two rows' edges swapped, or an endpoint moved by a short lattice or
+    sublattice vector."""
+    lab = dataclasses.replace(lab)
+    reps = lab.sub.coset_reps
+    i = int(rng.integers(1, lab.index))
+    kind = rng.integers(5)
+    if kind < 2:
+        row = lab.rows[i]
+        lab.rows[i] = row._replace(phase=row.phase + (row.step if kind else row.step // 2))
+        return lab
+    table = dict(lab.table)
+    a, b = table[reps[i]]
+    if kind == 2:
+        table[reps[i]] = (b, a)
+    elif kind == 3:
+        j = int(rng.integers(lab.index))
+        table[reps[i]], table[reps[j]] = table[reps[j]], table[reps[i]]
+    else:
+        v = tuple(rng.integers(-2, 3, lab.lattice.dim).tolist())
+        if rng.integers(2):
+            v = lab.sub.from_sub_coords(v)
+        table[reps[i]] = (_add(a, v), b)
+    return dataclasses.replace(lab, table=table)
+
+
+@pytest.mark.parametrize("name,n", [("A2", 31), ("Z2", 13), ("Z4", 49), ("Z8", 81), ("Z1", 151), ("A2", 199)])
+def test_verify_agrees_with_the_scalar_oracle_on_corrupted_rows(name, n):
+    rng = np.random.default_rng(24)
+    outcomes = Counter()
+    for _ in range(40):
+        lab = _corrupt(design(name, n), rng)
+        got = _failed_check(Labeling.verify_properties, lab)
+        want = _failed_check(scalar_verify_properties, lab)
+        assert (got is None) == (want is None), (got, want)
+        outcomes[got is None] += 1
+    assert outcomes[False] >= 30  # most corruptions break a property
 
 
 def test_decode_zero_edge(lab31):

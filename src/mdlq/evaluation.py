@@ -157,7 +157,7 @@ def edge_histogram(labeling: Labeling):
             raise PropertyCheckFailed("edge-histogram", f"edge length {l2} is not on the shell grid")
         hist[int(i)] = hist.get(int(i), 0) + 1
     kmax = max(hist)
-    shells = Counter(lat.norms(list(lat.points_in_shell_ball(kmax))).tolist())
+    shells = Counter(lat.norms(lat.ball(kmax)).tolist())
     last_ok = hist[kmax] <= shells.pop(kmax, 0)
     full_match = {i: b for i, b in hist.items() if i < kmax} == shells
     return {"B": hist, "K": kmax, "B_eq_A_below_K": full_match, "B_le_A_at_K": last_ok, "N": n}

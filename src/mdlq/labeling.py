@@ -236,21 +236,20 @@ def base_edge_set(sub: SimilarSublattice):
     lat = sub.lattice
     n = sub.index
     budget = 1
-    while len(ball := list(lat.points_in_shell_ball(budget))) < n:
+    while len(ball := lat.ball(budget)) < n:
         budget *= 2
-    norms = lat.norms(ball).tolist()
-    kmax = sorted(norms)[n - 1]
-    full = [u for u, q in zip(ball, norms) if q < kmax]
-    last = [u for u, q in zip(ball, norms) if q == kmax]
+    norms = lat.norms(ball)
+    kmax = np.partition(norms, n - 1)[n - 1]
+    full = ball[norms < kmax]
+    last = ball[norms == kmax]
     need = n - len(full)
-    if need == len(last):
-        chosen = last
-    else:
+    if need != len(last):
         if need % 2:
             raise AsymmetricEdgeSet(f"{need} slots remain in shell {kmax}; cannot keep +- pairs")
-        order = sorted({min(u, _neg(u)) for u in last}, key=sub.from_sub_coords)
-        chosen = [v for u in order[: need // 2] for v in (u, _neg(u))]
-    return sorted(sub.from_sub_coords(u) for u in full + chosen)
+        pairs = {min(u, _neg(u)) for u in map(tuple, last.tolist())}
+        order = sorted(pairs, key=sub.from_sub_coords)
+        last = np.array([v for u in order[: need // 2] for v in (u, _neg(u))])
+    return sorted(map(tuple, (np.concatenate([full, last]) @ sub.gtilde.T).tolist()))
 
 
 def _relocate(sub: SimilarSublattice, lam: np.ndarray, delta: np.ndarray):

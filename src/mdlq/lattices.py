@@ -12,6 +12,10 @@ Conventions used throughout the package:
 * Ties in nearest-point searches are broken toward the candidate whose
   integer coordinate vector is lexicographically smallest.  Lexicographic
   order is translation invariant, which makes the tie rule shift-equivariant.
+* ``Lattice.ball`` is the one enumeration of lattice points by norm: the
+  discrete Voronoi set, the edge set, the edge histogram and the theta
+  shells all read it, and its size cap ends an oversized request in
+  ``ResourceLimit`` before the oversized array is allocated.
 """
 
 from __future__ import annotations
@@ -32,8 +36,22 @@ LATTICE_NAMES = ("Z1", "Z2", "Z4", "Z8", "A2")
 
 _SQRT3 = math.sqrt(3.0)
 
-# Largest enumeration (grid points or shift-add steps) shells() will run.
+# Largest array, in int64 entries, that ball() builds or shells() counts into.
 _SHELL_CAP = 20_000_000
+
+
+def _capped(size: int, what: str) -> None:
+    """ResourceLimit unless ``size`` is within _SHELL_CAP."""
+    if size > _SHELL_CAP:
+        raise ResourceLimit(f"{what} of {size} entries exceeds the cap of {_SHELL_CAP}")
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of an int64 array of values below 2^53: the
+    correctly rounded float root is never below an integer root, and is at
+    most one above the floor."""
+    r = np.sqrt(v).astype(np.int64)
+    return r - (r * r > v)
 
 
 @dataclass(frozen=True)
@@ -79,42 +97,52 @@ class Lattice:
         """Map lattice coordinates to a point of R^L."""
         return self.basis @ np.asarray(u, dtype=float)
 
-    # -- theta shells ---------------------------------------------------------
+    # -- lattice points by norm -----------------------------------------------
+
+    def ball(self, max_norm: int) -> np.ndarray:
+        """Every coordinate vector u with L*||u||^2 <= max_norm, as the rows of
+        an (n, L) int64 array in lexicographic order.
+
+        Built one coordinate at a time: each prefix row is repeated once for
+        each value of the next coordinate that keeps the norm within
+        max_norm, an interval given by exact integer square roots.  Each
+        step's size is checked against the cap before it is allocated.
+        """
+        # x^2 - xy + y^2 = (y - x/2)^2 + 3x^2/4 bounds x^2 by 4/3 max_norm on
+        # A2.  Python ints here, so a huge max_norm only trips the cap.
+        b = math.isqrt(4 * max_norm // 3 if self.name == "A2" else max_norm)
+        _capped((2 * b + 1) * self.dim, "ball")
+        pts = np.arange(-b, b + 1).reshape(-1, 1)
+        for k in range(1, self.dim):
+            if self.name == "A2":
+                # y may take each value with (2y - x)^2 <= 4 max_norm - 3x^2.
+                x = pts[:, 0]
+                r = _isqrt(4 * max_norm - 3 * x * x)
+                lo, hi = (x - r + 1) // 2, (x + r) // 2
+            else:
+                r = _isqrt(max_norm - (pts * pts).sum(axis=1))
+                lo, hi = -r, r
+            counts = hi - lo + 1
+            n = int(counts.sum())
+            _capped(n * self.dim, "ball")
+            out = np.empty((n, k + 1), dtype=np.int64)
+            out[:, :k] = np.repeat(pts, counts, axis=0)
+            out[:, k] = np.arange(n) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+            pts = out
+        return pts
 
     def shells(self, max_norm: int) -> "ThetaShells":
-        """Exact shell counts A[i] = #{u : L*||u||^2 = i} for i <= max_norm."""
-        if max_norm < 0:
-            raise ValueError("max_norm must be >= 0")
-        if self.name == "A2":
-            # x^2 + y^2 - x*y >= (x^2 + y^2)/2, so |x|,|y| <= sqrt(2*max_norm)
-            b = math.isqrt(2 * max_norm) + 1
-            if (2 * b + 1) ** 2 > _SHELL_CAP:
-                raise ResourceLimit(f"shell enumeration over {(2*b+1)**2} points exceeds cap")
-            counts = np.zeros(max_norm + 1, dtype=np.int64)
-            xs = np.arange(-b, b + 1)
-            gx, gy = np.meshgrid(xs, xs, indexing="ij")
-            q = gx * gx + gy * gy - gx * gy
-            sel = q <= max_norm
-            np.add.at(counts, q[sel], 1)
+        """Exact shell counts A[i] = #{u : L*||u||^2 = i} for i <= max_norm:
+        the norms of ``ball(max_norm)``, counted.  Z8 is the orthogonal sum
+        of two copies of Z4, so its series is the square of Z4's, whose ball
+        is far smaller (1.8e4 points at norm 60, against 5.5e7 for Z8)."""
+        _capped(max_norm + 1, "shell table")
+        if self.name == "Z8":
+            a = np.array(get_lattice("Z4").shells(max_norm).A)
+            counts = np.convolve(a, a)[: max_norm + 1]
         else:
-            # Separable exact count: the L-fold coordinate enumeration
-            # factorizes into an L-fold convolution of the 1-D counts, whose
-            # only nonzero entries sit at the squares x^2 <= max_norm.  Each
-            # convolution shift-adds the counts once per square.
-            squares = [x * x for x in range(math.isqrt(max_norm) + 1)]
-            work = (self.dim - 1) * len(squares) * (max_norm + 1) + max_norm + 1
-            if work > _SHELL_CAP:
-                raise ResourceLimit("shell enumeration exceeds cap")
-            base = np.zeros(max_norm + 1, dtype=np.int64)
-            base[squares] = 2
-            base[0] = 1
-            counts = base
-            for _ in range(self.dim - 1):
-                conv = counts.copy()
-                for s in squares[1:]:
-                    conv[s:] += 2 * counts[: max_norm + 1 - s]
-                counts = conv
-        return ThetaShells(tuple(int(c) for c in counts))
+            counts = np.bincount(self.norms(self.ball(max_norm)), minlength=max_norm + 1)
+        return ThetaShells(tuple(counts.tolist()))
 
     def shells_covering(self, n: int) -> "ThetaShells":
         """Shell counts up to the first norm 8 * 2^k whose ball holds >= n points."""
@@ -124,18 +152,6 @@ class Lattice:
             max_norm *= 2
             shells = self.shells(max_norm)
         return shells
-
-    def points_in_shell_ball(self, max_norm: int):
-        """Yield every coordinate vector with L*||u||^2 <= max_norm, in
-        lexicographic order."""
-        if self.name == "A2":
-            b = math.isqrt(2 * max_norm) + 1
-            for x in range(-b, b + 1):
-                for y in range(-b, b + 1):
-                    if x * x + y * y - x * y <= max_norm:
-                        yield (x, y)
-        else:
-            yield from _cubic_ball(self.dim, max_norm)
 
     # -- second moments & radii ----------------------------------------------
 
@@ -178,19 +194,6 @@ def int_point(v, dim: int, error=InvalidInput):
     if len(p) != dim:
         raise error(f"{v!r} has {len(p)} coordinates, expected {dim}")
     return p
-
-
-def _cubic_ball(dim: int, budget: int):
-    """Integer vectors with sum of squares <= budget, lexicographically.  Each
-    coordinate spends part of the budget, so only points of the ball are
-    visited; the generator keeps no partial vectors alive."""
-    if dim == 0:
-        yield ()
-        return
-    b = math.isqrt(budget)
-    for x in range(-b, b + 1):
-        for rest in _cubic_ball(dim - 1, budget - x * x):
-            yield (x, *rest)
 
 
 def get_lattice(name: str) -> Lattice:

@@ -36,14 +36,14 @@ an array.  The nearest sublattice point to a target that need not be a
 lattice point (edge relocation, the Voronoi filter) is
 ``bulk_nearest2_coords``, in sublattice coordinates u (``bulk_nearest2`` is
 Gt u and the scalar ``nearest2`` one row of it); it reads ``cell_offsets``
-on A2 and ``tie_side`` in the cubic frames.  The public scalar methods check
-their vectors with ``lattices.int_point`` on entry; the internal products
-take Python ints.
+on A2 and ``tie_side`` in the cubic frames; ``voronoi_reps`` runs it over
+blocks of ``Lattice.ball`` at the covering radius.  The public scalar
+methods check their vectors with ``lattices.int_point`` on entry; the
+internal products take Python ints.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Callable
@@ -198,7 +198,7 @@ _FAMILIES = {
         False,
     ),
 }
-_BLOCK = 1 << 16  # parameter vectors per block of the enumeration
+_BLOCK = 1 << 16  # rows per block of the parameter search and the Voronoi filter
 
 
 def _admits(fam: _Family, n):
@@ -375,20 +375,16 @@ class SimilarSublattice:
 
         Every point of V0(0) lies within the covering radius of the
         sublattice, so an exact ball enumeration followed by the nearest-point
-        filter is exhaustive.  The ball is streamed and filtered in blocks.
+        filter is exhaustive.  The ball is filtered in blocks of rows.
         """
         lat = self.lattice
         bound = Fraction(self.scale_sq * lat.dim) * lat.covering_radius_sq()
-        ball = lat.points_in_shell_ball(int(math.ceil(bound)))
-        pts = []
-        while block := list(itertools.islice(ball, 1024)):
-            home = ~bulk_nearest2(self, 2 * np.array(block)).any(axis=1)
-            pts.extend(p for p, h in zip(block, home.tolist()) if h)
-        if len(pts) != self.index:
-            raise NotSimilar(
-                f"discrete Voronoi set has {len(pts)} points, expected {self.index}"
-            )
-        return tuple(pts)
+        ball = lat.ball(math.ceil(bound))
+        blocks = np.split(ball, range(_BLOCK, len(ball), _BLOCK))
+        home = np.concatenate([~bulk_nearest2(self, 2 * b).any(axis=1) for b in blocks])
+        if home.sum() != self.index:
+            raise NotSimilar(f"discrete Voronoi set has {home.sum()} points, expected {self.index}")
+        return tuple(map(tuple, ball[home].tolist()))
 
     def covering_radius_sq(self) -> Fraction:
         """Normalized squared covering radius of the sublattice (unit scale)."""

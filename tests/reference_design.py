@@ -5,6 +5,10 @@ designs, the square assignment solver that moves every potential
 at every step, the asymptotic sweep computed one index at a time, and the
 row-by-row check of Properties 1-3 on the scalar encoder and decoder.
 
+``theta_count`` is the classical closed form of each theta series
+(Conway & Sloane, SPLAG, ch. 4), an oracle for the shell counts that shares
+no code with the lattice-point enumeration.
+
 This is the classic worked assignment for the index-31 hexagonal design in
 the frame u = 5 - w (params (5, -1)): each orbit of the order-6 rotation
 group is anchored to one edge class.  It is *not* cost-optimal (total 540 vs
@@ -58,6 +62,27 @@ def hand_labeling_a2_31() -> Labeling:
     lab = build_labeling(sub, anchors=HAND_ANCHORS_A2_31)
     assert lab.cost_total == HAND_COST_A2_31
     return lab
+
+
+def theta_count(name: str, n: int) -> int:
+    """Number of points of norm n (L*||u||^2 = n) in the named lattice, from
+    the divisor-sum formulas: r_1, r_2 = 4(d_1,4 - d_3,4), r_4 = 8 sum of the
+    divisors not divisible by 4, r_8 = 16 sum (-1)^(n+d) d^3, and
+    6(d_1,3 - d_2,3) for the hexagonal form x^2 - xy + y^2."""
+    if n == 0:
+        return 1
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    if name == "Z1":
+        return 2 if math.isqrt(n) ** 2 == n else 0
+    if name == "Z2":
+        return 4 * sum({1: 1, 3: -1}.get(d % 4, 0) for d in divisors)
+    if name == "Z4":
+        return 8 * sum(d for d in divisors if d % 4)
+    if name == "Z8":
+        return 16 * sum((-1) ** (n + d) * d**3 for d in divisors)
+    if name == "A2":
+        return 6 * sum({1: 1, 2: -1}.get(d % 3, 0) for d in divisors)
+    raise ValueError(f"no theta series for {name}")
 
 
 def ds_cost(lat: Lattice, lam, edge) -> Fraction:

@@ -64,6 +64,14 @@ def test_design_error_exit(capsys):
     assert "NoRepresentation" in err
 
 
+def test_design_beyond_the_point_cap_is_a_resource_limit(capsys):
+    # The ball around the origin that V0(0) and the edge set are cut from
+    # would hold 10^8 points.
+    code, out, err = run(capsys, "design", "--lattice", "Z1", "--params", "100000001")
+    assert code == 1
+    assert err.startswith("ResourceLimit:") and out == ""
+
+
 def test_design_inadmissible_params(capsys):
     code, out, err = run(capsys, "design", "--lattice", "Z2", "--index", "4", "--params", "1,1")
     assert code == 1

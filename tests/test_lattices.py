@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from mdlq.errors import InvalidInput, ResourceLimit
 from mdlq.lattices import filled_shell, get_lattice, shell_prefix, sphere_second_moment
+
+from .reference_design import theta_count
 
 SQRT3 = math.sqrt(3.0)
 
@@ -32,6 +35,46 @@ def test_shells_origin_only(a2, z2):
 def test_shells_cap():
     with pytest.raises(ResourceLimit):
         get_lattice("A2").shells(10**9)
+
+
+@pytest.mark.parametrize(
+    "name,max_norm", [("Z1", 400), ("Z2", 300), ("Z4", 120), ("Z8", 30), ("A2", 300)]
+)
+def test_shells_match_the_closed_form_theta_series(name, max_norm):
+    want = tuple(theta_count(name, i) for i in range(max_norm + 1))
+    assert get_lattice(name).shells(max_norm).A == want
+
+
+@pytest.mark.parametrize("name,max_norm", [("Z1", 30), ("Z2", 20), ("A2", 20), ("Z4", 6), ("Z8", 2)])
+def test_ball_is_the_filtered_box_in_order(name, max_norm):
+    # x^2 + y^2 - xy >= (x^2 + y^2) / 2 bounds every coordinate of the box.
+    lat = get_lattice(name)
+    b = math.isqrt(2 * max_norm)
+    box = list(itertools.product(range(-b, b + 1), repeat=lat.dim))
+    for m in range(max_norm + 1):
+        ball = lat.ball(m)
+        assert ball.dtype == np.int64 and ball.shape[1] == lat.dim
+        assert list(map(tuple, ball.tolist())) == [p for p in box if lat.qshell(p) <= m]
+
+
+@pytest.mark.parametrize(
+    "name,max_norm", [("Z1", 10**15), ("Z1", 10**100), ("Z8", 10**6), ("A2", 10**9)]
+)
+def test_oversized_ball_and_shells_hit_the_cap(name, max_norm):
+    lat = get_lattice(name)
+    with pytest.raises(ResourceLimit, match="exceeds the cap"):
+        lat.ball(max_norm)
+    with pytest.raises(ResourceLimit, match="exceeds the cap"):
+        lat.shells(max_norm)
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z8", "A2"])
+def test_negative_norm_is_rejected(name):
+    lat = get_lattice(name)
+    with pytest.raises(ValueError):
+        lat.ball(-1)
+    with pytest.raises(ValueError):
+        lat.shells(-1)
 
 
 @pytest.mark.parametrize("name", ["Z1", "Z2", "Z4", "Z8", "A2"])

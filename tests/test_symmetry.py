@@ -29,7 +29,7 @@ def test_z1_group(z1):
 
 def test_a2_group_preserves_lattice(a2):
     g = group_for(a2)
-    shell = set(a2.points_in_shell_ball(3))
+    shell = set(map(tuple, a2.ball(3).tolist()))
     for m in g.elements:
         assert {_imatvec(m, p) for p in shell} == shell
 
@@ -79,7 +79,7 @@ def _point_orbits(g, pts, size=None):
 
 def test_orbit_a2_first_shell(a2):
     g = group_for(a2)
-    shell = [p for p in a2.points_in_shell_ball(1) if p != (0, 0)]
+    shell = [p for p in map(tuple, a2.ball(1).tolist()) if p != (0, 0)]
     assert _point_orbits(g, shell) == [(-1, -1)]  # one orbit of all 6 points
 
 
@@ -98,7 +98,7 @@ def test_orbit_z2_rotation_cycle(z2):
 def test_orbit_sizes_divide_group_order(a2):
     # Fixed-point free on nonzero points: every orbit holds the whole group.
     g = group_for(a2)
-    pts = [p for p in a2.points_in_shell_ball(4) if p != (0, 0)]
+    pts = [p for p in map(tuple, a2.ball(4).tolist()) if p != (0, 0)]
     assert len(_point_orbits(g, pts)) * g.order == len(pts)
     with pytest.raises(SizeMismatch, match="has size 6, expected 3"):
         _point_orbits(g, pts, size=3)

@@ -13,9 +13,10 @@ Conventions used throughout the package:
   integer coordinate vector is lexicographically smallest.  Lexicographic
   order is translation invariant, which makes the tie rule shift-equivariant.
 * ``Lattice.ball`` is the one enumeration of lattice points by norm: the
-  discrete Voronoi set, the edge set, the edge histogram and the theta
-  shells all read it, and its size cap ends an oversized request in
-  ``ResourceLimit`` before the oversized array is allocated.
+  edge set, the edge histogram and the theta shells read it (Z^4 and Z^8
+  through the series of Z^2), and the discrete Voronoi set reads it in
+  blocks (``ball_blocks``).  One size cap ends an oversized ball or shell
+  table in ``ResourceLimit`` before the oversized array is allocated.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ LATTICE_NAMES = ("Z1", "Z2", "Z4", "Z8", "A2")
 
 _SQRT3 = math.sqrt(3.0)
 
-# Largest array, in int64 entries, that ball() builds or shells() counts into.
+# Largest array, in int64 entries, that ball() builds or shells() counts into,
+# and the most shift-adds, in entries, of the theta series product in shells().
 _SHELL_CAP = 20_000_000
 
 
@@ -101,19 +103,29 @@ class Lattice:
 
     def ball(self, max_norm: int) -> np.ndarray:
         """Every coordinate vector u with L*||u||^2 <= max_norm, as the rows of
-        an (n, L) int64 array in lexicographic order.
+        an (n, L) int64 array in lexicographic order."""
+        return next(self.ball_blocks(max_norm, math.inf))
+
+    def ball_blocks(self, max_norm: int, rows):
+        """Yield the rows of ``ball(max_norm)`` in order, in consecutive arrays.
 
         Built one coordinate at a time: each prefix row is repeated once for
         each value of the next coordinate that keeps the norm within
-        max_norm, an interval given by exact integer square roots.  Each
-        step's size is checked against the cap before it is allocated.
+        max_norm, an interval given by exact integer square roots.  Prefixes
+        whose next step would pass ``rows`` points are split in two first;
+        each step's size is checked against the cap before it is allocated.
         """
         # x^2 - xy + y^2 = (y - x/2)^2 + 3x^2/4 bounds x^2 by 4/3 max_norm on
         # A2.  Python ints here, so a huge max_norm only trips the cap.
         b = math.isqrt(4 * max_norm // 3 if self.name == "A2" else max_norm)
         _capped((2 * b + 1) * self.dim, "ball")
-        pts = np.arange(-b, b + 1).reshape(-1, 1)
-        for k in range(1, self.dim):
+        stack = [np.arange(-b, b + 1).reshape(-1, 1)]
+        while stack:
+            pts = stack.pop()
+            k = pts.shape[1]
+            if k == self.dim:
+                yield pts
+                continue
             if self.name == "A2":
                 # y may take each value with (2y - x)^2 <= 4 max_norm - 3x^2.
                 x = pts[:, 0]
@@ -124,24 +136,30 @@ class Lattice:
                 lo, hi = -r, r
             counts = hi - lo + 1
             n = int(counts.sum())
+            if n > rows and len(pts) > 1:
+                stack += [pts[len(pts) // 2 :], pts[: len(pts) // 2]]
+                continue
             _capped(n * self.dim, "ball")
             out = np.empty((n, k + 1), dtype=np.int64)
             out[:, :k] = np.repeat(pts, counts, axis=0)
             out[:, k] = np.arange(n) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-            pts = out
-        return pts
+            stack.append(out)
 
     def shells(self, max_norm: int) -> "ThetaShells":
         """Exact shell counts A[i] = #{u : L*||u||^2 = i} for i <= max_norm:
-        the norms of ``ball(max_norm)``, counted.  Z8 is the orthogonal sum
-        of two copies of Z4, so its series is the square of Z4's, whose ball
-        is far smaller (1.8e4 points at norm 60, against 5.5e7 for Z8)."""
+        the norms of ``ball(max_norm)`` on Z1, Z2 and A2.  Z^L for L > 2 is Z^2
+        plus L - 2 copies of Z, each of which shift-adds the series once per
+        nonzero square."""
         _capped(max_norm + 1, "shell table")
-        if self.name == "Z8":
-            a = np.array(get_lattice("Z4").shells(max_norm).A)
-            counts = np.convolve(a, a)[: max_norm + 1]
-        else:
-            counts = np.bincount(self.norms(self.ball(max_norm)), minlength=max_norm + 1)
+        squares = [x * x for x in range(1, math.isqrt(max_norm) + 1)]
+        factors = max(self.dim - 2, 0)
+        _capped(factors * len(squares) * (max_norm + 1), "theta series product")
+        plane = self if self.dim <= 2 else get_lattice("Z2")
+        counts = np.bincount(plane.norms(plane.ball(max_norm)), minlength=max_norm + 1)
+        for _ in range(factors):
+            prev = counts.copy()
+            for s in squares:
+                counts[s:] += 2 * prev[: max_norm + 1 - s]
         return ThetaShells(tuple(counts.tolist()))
 
     def shells_covering(self, n: int) -> "ThetaShells":

@@ -37,7 +37,7 @@ lattice point (edge relocation, the Voronoi filter) is
 ``bulk_nearest2_coords``, in sublattice coordinates u (``bulk_nearest2`` is
 Gt u and the scalar ``nearest2`` one row of it); it reads ``cell_offsets``
 on A2 and ``tie_side`` in the cubic frames; ``voronoi_reps`` runs it over
-blocks of ``Lattice.ball`` at the covering radius.  The public scalar
+``Lattice.ball_blocks`` at the covering radius.  The public scalar
 methods check their vectors with ``lattices.int_point`` on entry; the
 internal products take Python ints.
 """
@@ -375,16 +375,16 @@ class SimilarSublattice:
 
         Every point of V0(0) lies within the covering radius of the
         sublattice, so an exact ball enumeration followed by the nearest-point
-        filter is exhaustive.  The ball is filtered in blocks of rows.
+        filter is exhaustive.  The ball is streamed and filtered in blocks.
         """
         lat = self.lattice
         bound = Fraction(self.scale_sq * lat.dim) * lat.covering_radius_sq()
-        ball = lat.ball(math.ceil(bound))
-        blocks = np.split(ball, range(_BLOCK, len(ball), _BLOCK))
-        home = np.concatenate([~bulk_nearest2(self, 2 * b).any(axis=1) for b in blocks])
-        if home.sum() != self.index:
-            raise NotSimilar(f"discrete Voronoi set has {home.sum()} points, expected {self.index}")
-        return tuple(map(tuple, ball[home].tolist()))
+        pts = []
+        for b in lat.ball_blocks(math.ceil(bound), _BLOCK):
+            pts += map(tuple, b[~bulk_nearest2(self, 2 * b).any(axis=1)].tolist())
+        if len(pts) != self.index:
+            raise NotSimilar(f"discrete Voronoi set has {len(pts)} points, expected {self.index}")
+        return tuple(pts)
 
     def covering_radius_sq(self) -> Fraction:
         """Normalized squared covering radius of the sublattice (unit scale)."""

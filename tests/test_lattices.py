@@ -68,6 +68,36 @@ def test_oversized_ball_and_shells_hit_the_cap(name, max_norm):
         lat.shells(max_norm)
 
 
+@pytest.mark.parametrize("name,max_norm", [("Z4", 35343), ("Z8", 20099)])
+def test_cubic_shells_reach_past_ten_thousand(name, max_norm):
+    # Earlier releases counted Z4 and Z8 tables this long within the cap (a
+    # shift-add over every coordinate); they must keep returning, exactly.
+    a = get_lattice(name).shells(max_norm).A
+    assert len(a) == max_norm + 1
+    for i in (1, 2, 7, 360, 4097, 9973, max_norm - 1, max_norm):
+        assert a[i] == theta_count(name, i)
+
+
+@pytest.mark.parametrize("name,max_norm", [("Z1", 50), ("Z2", 40), ("A2", 40), ("Z4", 12), ("Z8", 6)])
+def test_ball_blocks_stream_the_ball_in_order(name, max_norm):
+    lat = get_lattice(name)
+    blocks = list(lat.ball_blocks(max_norm, 37))
+    # Z1's ball is one column of first coordinates, never split.
+    assert len(blocks) > 1 or lat.dim == 1
+    assert all(len(b) <= max(37, 2 * math.isqrt(max_norm) + 1) for b in blocks)
+    np.testing.assert_array_equal(np.concatenate(blocks), lat.ball(max_norm))
+
+
+def test_ball_blocks_pass_a_ball_beyond_the_cap():
+    # Z8's ball at norm 28 (the Voronoi bound of index 14^4) holds 2.7e6
+    # points, more than the cap allows in one array.
+    z8 = get_lattice("Z8")
+    with pytest.raises(ResourceLimit):
+        z8.ball(28)
+    sizes = [len(b) for b in z8.ball_blocks(28, 1 << 16)]
+    assert max(sizes) <= 1 << 16 and sum(sizes) == z8.shells(28).S(28)
+
+
 @pytest.mark.parametrize("name", ["Z1", "Z8", "A2"])
 def test_negative_norm_is_rejected(name):
     lat = get_lattice(name)

@@ -15,6 +15,12 @@ Construction pipeline (all exact integer / rational arithmetic):
 4. color / direction rules -- turn the undirected label into a directed one
                             so the two channels stay balanced.
 
+The direction rule has one form, ``_orient`` on the rows of integer arrays:
+the color of an edge at its first differing axis and the side of the edge's
+midpoint that the point lies on.  It builds every ``Row`` of a design in one
+pass, the public ``direct_edge`` and ``color`` are one-row calls of it, and
+``verify_properties`` applies it to every label it checks.
+
 A finished ``Labeling`` keeps one row table in coset-index order: each
 ``Row`` holds a V0(0) representative, its relocated edge and its direction,
 and ``class_table`` maps each edge class to a row index.  ``encode`` shifts
@@ -24,8 +30,7 @@ parity, ``orientation_flip``, which the bulk encoder applies to the same
 table as arrays.  ``verify_properties`` checks Properties 1-3 on the same table
 as arrays: the bulk encoder and its decoder (``codec.BulkEncoder``) label every
 representative, partner, base edge and shifted representative at once, and
-``_directed``, the array form of ``direct_edge``, gives the direction each
-label must have.
+the direction rule gives the direction each label must have.
 """
 
 from __future__ import annotations
@@ -93,37 +98,85 @@ def class_key(delta):
 # ---------------------------------------------------------------------------
 
 
+# A table row: rep + vp (vp a sublattice point) is labeled (first + vp,
+# second + vp), reversed where orientation_flip(phase, step, vp[axis]) is 1.
+Row = namedtuple("Row", "rep first second axis step phase")
+
+
+def orientation_flip(phase, step, shift):
+    """The one shift-dependent bit of a label, for Python ints and integer arrays."""
+    return (phase + 2 * shift) // step & 1
+
+
+def _lead(v: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of ``v``; 0 on a zero row."""
+    return np.take_along_axis(v, (v != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+
+
+def _orient(lat: Lattice, a: np.ndarray, b: np.ndarray, lam: np.ndarray):
+    """The color and direction rules for the edges (a, b) labeling the points
+    ``lam``, row by row, on int64 rows or Python ints in object arrays.
+
+    The color is floor((a_j + b_j) / step) mod 2 at the first axis j with
+    a_j != b_j, step = 2 |b_j - a_j|: it alternates along any line of shifted
+    copies and does not depend on the endpoint order.  The sign of
+    <a - b, lam - mu>, mu the midpoint, is positive where lam is nearer to a;
+    on the tie hyperplane the first nonzero coordinate of lam - mu decides,
+    and only the midpoint gets 0.  Returns the ``Row`` fields axis j, step and
+    phase = a_j + b_j (+ step where the sign is negative), so that
+    ``orientation_flip(phase, step, 0)`` is 1 where (a, b) is reversed, and
+    whether the sign is 0; a zero edge gets axis 0, step 1, phase 0.  The sign
+    is formed in int64 while its terms bound it below 2^63, else on Python ints."""
+    d, w2 = a - b, 2 * lam - a - b
+    if d.dtype != object and w2.dtype != object:
+        reach = int(np.abs(d).max(initial=0)) * int(np.abs(w2).max(initial=0))
+        if reach * int(np.abs(lat.gram2).sum()) >= 2**63:
+            d, w2 = d.astype(object), w2.astype(object)
+    s = (d @ lat.gram2 * w2).sum(axis=1)
+    s = np.where(s != 0, s, _lead(w2))
+    j = (d != 0).argmax(axis=1)[:, None]
+    dj = np.abs(np.take_along_axis(d, j, axis=1)[:, 0])
+    step = np.where(dj != 0, 2 * dj, 1)
+    phase = np.where(dj != 0, np.take_along_axis(a + b, j, axis=1)[:, 0] + step * (s < 0), 0)
+    return j[:, 0], step, phase, s == 0
+
+
+def _directed(lat: Lattice, a: np.ndarray, b: np.ndarray, lam: np.ndarray):
+    """The labels (first, second) of the canonical edges (a, b) for the points
+    ``lam``: color 0 sends the endpoint nearer to lam on channel 1, color 1
+    on channel 2, and a point at the midpoint gets (a, b)."""
+    _, step, phase, tie = _orient(lat, a, b, lam)
+    rev = (~tie & (orientation_flip(phase, step, 0) == 1))[:, None]
+    return np.where(rev, b, a), np.where(rev, a, b)
+
+
+def _rule_rows(*points):
+    """One (n, L) array of Python-int points per argument, stacked, for
+    ``_orient``; the bound keeps every sum that it forms below 2^63 in int64."""
+    return _int_rows(points, 2**60)
+
+
+def _int_edge(lat: Lattice, edge):
+    """The endpoints of ``edge`` as points of ``lat``; InvalidInput otherwise."""
+    try:
+        p, q = edge
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{edge!r} is not a pair of points") from None
+    return int_point(p, lat.dim), int_point(q, lat.dim)
+
+
 def color(lat: Lattice, edge) -> int:
     """Parity bit of an edge; alternates along any line of shifted copies.
 
     For endpoints p, q and the first coordinate j with q_j != p_j the color
-    is floor((p_j + q_j) / (2*|q_j - p_j|)) mod 2.  Orientation independent.
+    is floor((p_j + q_j) / (2*|q_j - p_j|)) mod 2.  Orientation independent:
+    it is the direction rule's flip at the endpoint p itself.
     """
-    p, q = edge
-    for j in range(lat.dim):
-        d = abs(q[j] - p[j])
-        if d:
-            return ((p[j] + q[j]) // (2 * d)) % 2
-    raise ZeroEdge("color is undefined for the zero-length edge")
-
-
-def _orientation_sign(lat: Lattice, edge, lam) -> int:
-    """Sign of <a - b, lam - mu> with the deterministic boundary rule.
-
-    ``edge`` must already be in canonical endpoint order.  On the tie
-    hyperplane the sign of the first nonzero coordinate of lam - mu decides;
-    a zero vector (point at the midpoint) returns 0.
-    """
-    a, b = edge
-    d = _sub(a, b)
-    w2 = tuple(2 * x - y - z for x, y, z in zip(lam, a, b))
-    s = lat.inner2(d, w2)
-    if s:
-        return 1 if s > 0 else -1
-    for x in w2:
-        if x:
-            return 1 if x > 0 else -1
-    return 0
+    p, q = _int_edge(lat, edge)
+    if p == q:
+        raise ZeroEdge("color is undefined for the zero-length edge")
+    _, step, phase, _ = _orient(lat, *_rule_rows([p], [q], [p]))
+    return int(orientation_flip(phase, step, 0)[0])
 
 
 def direct_edge(lat: Lattice, edge, lam) -> DirectedEdge:
@@ -133,40 +186,20 @@ def direct_edge(lat: Lattice, edge, lam) -> DirectedEdge:
     it on channel 2.  A point exactly at the midpoint gets the canonical
     orientation.
     """
-    a, b = canonical_edge(*edge)
-    if a == b:
-        return DirectedEdge(a, b)
-    s = _orientation_sign(lat, (a, b), lam)
-    if s == 0:
-        return DirectedEdge(a, b)
-    # s > 0 means lam is nearer to a.
-    if (s > 0) == (color(lat, (a, b)) == 0):
-        return DirectedEdge(a, b)
-    return DirectedEdge(b, a)
+    a, b = canonical_edge(*_int_edge(lat, edge))
+    first, second = _directed(lat, *_rule_rows([a], [b], [int_point(lam, lat.dim)]))
+    return DirectedEdge(tuple(first[0].tolist()), tuple(second[0].tolist()))
 
 
-def _lead(v: np.ndarray) -> np.ndarray:
-    """The first nonzero entry of each row of ``v``; 0 on a zero row."""
-    return np.take_along_axis(v, (v != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
-
-
-def _directed(lat: Lattice, a: np.ndarray, b: np.ndarray, lam: np.ndarray):
-    """``direct_edge`` on arrays: the labels (first, second) of the canonical
-    edges (a, b) for the points ``lam``, row by row, on int64 rows or Python
-    ints in object arrays.  The sign of <a - b, lam - mu> is formed in int64
-    while its terms bound it below 2^63, else on Python ints."""
-    d, w2 = a - b, 2 * lam - a - b
-    if d.dtype != object and w2.dtype != object:
-        reach = int(np.abs(d).max(initial=0)) * int(np.abs(w2).max(initial=0))
-        if reach * int(np.abs(lat.gram2).sum()) >= 2**63:
-            d, w2 = d.astype(object), w2.astype(object)
-    s = (d @ lat.gram2 * w2).sum(axis=1)
-    s = np.where(s != 0, s, _lead(w2))  # the tie: first nonzero coordinate of lam - mu
-    j = (d != 0).argmax(axis=1)[:, None]
-    dj = np.abs(np.take_along_axis(d, j, axis=1)[:, 0])
-    col = np.take_along_axis(a + b, j, axis=1)[:, 0] // np.maximum(2 * dj, 1) % 2
-    rev = ((s != 0) & (dj != 0) & ((s > 0) != (col == 0)))[:, None]
-    return np.where(rev, b, a), np.where(rev, a, b)
+def _table_rows(lat: Lattice, reps, edges) -> list:
+    """The ``Row`` of each edge (a, b) relocated for its representative, in
+    one pass of the direction rule: a shift by vp moves only the color
+    floor((a_j + b_j + 2 vp_j) / step) mod 2, and the phase adds step where
+    the representative is nearer to b.  At odd N only the zero row has its
+    representative at the midpoint; step 1 never reverses it."""
+    firsts, seconds = zip(*edges)
+    axis, step, phase, _ = _orient(lat, *_rule_rows(firsts, seconds, reps))
+    return list(map(Row, reps, firsts, seconds, axis.tolist(), step.tolist(), phase.tolist()))
 
 
 def _packed_classes(delta: np.ndarray, reach: np.ndarray):
@@ -191,30 +224,6 @@ def _int_rows(points, bound: int) -> np.ndarray:
     except OverflowError:
         pass
     return np.array(points, dtype=object)
-
-
-# A table row: rep + vp (vp a sublattice point) is labeled (first + vp,
-# second + vp), reversed where orientation_flip(phase, step, vp[axis]) is 1.
-Row = namedtuple("Row", "rep first second axis step phase")
-
-
-def orientation_flip(phase, step, shift):
-    """The one shift-dependent bit of a label, for Python ints and int64 arrays."""
-    return (phase + 2 * shift) // step & 1
-
-
-def _row(lat: Lattice, rep, edge) -> Row:
-    """Row of the canonical edge (a, b) relocated for ``rep``: a shift by vp
-    moves only the color floor((a_j + b_j + 2 vp_j) / step) mod 2, and the edge
-    is reversed where it differs from the sign bit (1 if rep is nearer to b).
-    At odd N only the zero row has rep at its midpoint; step 1 never reverses it."""
-    a, b = edge
-    if a == b:
-        return Row(rep, a, b, 0, 1, 0)
-    j = next(i for i in range(lat.dim) if a[i] != b[i])
-    step = 2 * abs(b[j] - a[j])
-    phase = a[j] + b[j] + (step if _orientation_sign(lat, edge, rep) < 0 else 0)
-    return Row(rep, a, b, j, step, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +394,8 @@ class Labeling:
     class_table: dict = field(init=False)  # edge class key -> index of its first row
 
     def __post_init__(self):
-        self.rows = [_row(self.lattice, rep, self.table[rep]) for rep in self.sub.coset_reps]
+        reps = self.sub.coset_reps
+        self.rows = _table_rows(self.lattice, reps, [self.table[rep] for rep in reps])
         self.class_table = {}
         for i, row in enumerate(self.rows):
             self.class_table.setdefault(class_key(_sub(row.second, row.first)), i)
@@ -406,13 +416,6 @@ class Labeling:
         return [Fraction(lat.qshell(_sub(e[1], e[0])), lat.dim) for e in self.table.values()]
 
     # -- encoding ----------------------------------------------------------------
-
-    def alpha_u(self, lam):
-        """Undirected label of an arbitrary lattice point (shift extension);
-        ``coset_reduce`` checks ``lam``."""
-        vp, rep = self.sub.coset_reduce(lam)
-        a, b = self.table[rep]
-        return (_add(a, vp), _add(b, vp))
 
     def encode(self, lam) -> DirectedEdge:
         """Directed label of a lattice point: the row of its coset shifted by

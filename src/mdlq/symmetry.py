@@ -104,13 +104,6 @@ def _closure(gens, dim):
     return tuple(sorted(elems))
 
 
-def check_group(group: SymmetryGroup, sub: SimilarSublattice | None = None) -> None:
-    """Run the structural property checks; raise GroupPropertyViolation."""
-    _check_lattice_group(group)
-    if sub is not None:
-        _check_preserves(group, sub)
-
-
 def _check_lattice_group(group: SymmetryGroup) -> None:
     """The checks that depend only on the group and its lattice."""
     lat = group.lattice

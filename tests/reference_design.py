@@ -5,6 +5,12 @@ designs, the square assignment solver that moves every potential
 at every step, the asymptotic sweep computed one index at a time, and the
 row-by-row check of Properties 1-3 on the scalar encoder and decoder.
 
+The scalar color and direction rules (``scalar_color``,
+``scalar_direct_edge``), the row they give a table edge (``scalar_row``),
+the undirected label of a point (``alpha_u``) and the group checks
+(``check_group``) are the oracles of the package's one array rule and of
+its group property checks.
+
 ``theta_count`` is the classical closed form of each theta series
 (Conway & Sloane, SPLAG, ch. 4), an oracle for the shell counts that shares
 no code with the lattice-point enumeration.
@@ -28,11 +34,12 @@ from itertools import permutations, product
 
 import numpy as np
 
-from mdlq.errors import InadmissibleIndex, InvalidInput, PropertyCheckFailed, SizeMismatch
+from mdlq.errors import InadmissibleIndex, InvalidInput, PropertyCheckFailed, SizeMismatch, ZeroEdge
 from mdlq.evaluation import analytic_d0, rate_targeted_beta
 from mdlq.labeling import (
     DirectedEdge,
     Labeling,
+    Row,
     _add,
     _neg,
     _sub,
@@ -40,10 +47,10 @@ from mdlq.labeling import (
     build_labeling,
     canonical_edge,
     class_key,
-    direct_edge,
 )
 from mdlq.lattices import Lattice, sphere_second_moment
 from mdlq.sublattices import SimilarSublattice, design_sublattice, find_params
+from mdlq.symmetry import SymmetryGroup, _check_lattice_group, _check_preserves
 
 # u = (5, -1), v = w*u = (1, 6)
 HAND_ANCHORS_A2_31 = {
@@ -83,6 +90,84 @@ def theta_count(name: str, n: int) -> int:
     if name == "A2":
         return 6 * sum({1: 1, 2: -1}.get(d % 3, 0) for d in divisors)
     raise ValueError(f"no theta series for {name}")
+
+
+def scalar_color(lat: Lattice, edge) -> int:
+    """Parity bit of an edge; alternates along any line of shifted copies.
+
+    For endpoints p, q and the first coordinate j with q_j != p_j the color
+    is floor((p_j + q_j) / (2*|q_j - p_j|)) mod 2.  Orientation independent.
+    """
+    p, q = edge
+    for j in range(lat.dim):
+        d = abs(q[j] - p[j])
+        if d:
+            return ((p[j] + q[j]) // (2 * d)) % 2
+    raise ZeroEdge("color is undefined for the zero-length edge")
+
+
+def _orientation_sign(lat: Lattice, edge, lam) -> int:
+    """Sign of <a - b, lam - mu> with the deterministic boundary rule.
+
+    On the tie hyperplane the sign of the first nonzero coordinate of
+    lam - mu decides; a zero vector (point at the midpoint) returns 0.
+    """
+    a, b = edge
+    d = _sub(a, b)
+    w2 = tuple(2 * x - y - z for x, y, z in zip(lam, a, b))
+    s = sum(x * sum(map(operator.mul, row, w2)) for x, row in zip(d, lat.gram2_rows))
+    if s:
+        return 1 if s > 0 else -1
+    for x in w2:
+        if x:
+            return 1 if x > 0 else -1
+    return 0
+
+
+def scalar_direct_edge(lat: Lattice, edge, lam) -> DirectedEdge:
+    """Orient an undirected label for the point it labels: color 0 sends the
+    endpoint nearer to ``lam`` on channel 1, color 1 on channel 2, and a
+    point exactly at the midpoint gets the canonical orientation."""
+    a, b = canonical_edge(*edge)
+    if a == b:
+        return DirectedEdge(a, b)
+    s = _orientation_sign(lat, (a, b), lam)
+    if s == 0:
+        return DirectedEdge(a, b)
+    # s > 0 means lam is nearer to a.
+    if (s > 0) == (scalar_color(lat, (a, b)) == 0):
+        return DirectedEdge(a, b)
+    return DirectedEdge(b, a)
+
+
+def scalar_row(lat: Lattice, rep, edge) -> Row:
+    """Row of the edge (a, b) relocated for ``rep``: a shift by vp moves only
+    the color floor((a_j + b_j + 2 vp_j) / step) mod 2, and the edge is
+    reversed where it differs from the sign bit (1 if rep is nearer to b).
+    At odd N only the zero row has rep at its midpoint; step 1 never reverses it."""
+    a, b = edge
+    if a == b:
+        return Row(rep, a, b, 0, 1, 0)
+    j = next(i for i in range(lat.dim) if a[i] != b[i])
+    step = 2 * abs(b[j] - a[j])
+    phase = a[j] + b[j] + (step if _orientation_sign(lat, edge, rep) < 0 else 0)
+    return Row(rep, a, b, j, step, phase)
+
+
+def alpha_u(lab: Labeling, lam):
+    """Undirected label of an arbitrary lattice point (shift extension of the
+    table); ``coset_reduce`` checks ``lam``."""
+    vp, rep = lab.sub.coset_reduce(lam)
+    a, b = lab.table[rep]
+    return (_add(a, vp), _add(b, vp))
+
+
+def check_group(group: SymmetryGroup, sub: SimilarSublattice | None = None) -> None:
+    """Every structural property check of ``group``, and that it preserves
+    ``sub`` when one is given; raise GroupPropertyViolation."""
+    _check_lattice_group(group)
+    if sub is not None:
+        _check_preserves(group, sub)
 
 
 def ds_cost(lat: Lattice, lam, edge) -> Fraction:
@@ -204,7 +289,7 @@ def eager_min_cost_assignment(cost):
 
 def scalar_verify_properties(lab: Labeling) -> None:
     """Properties 1-3 checked one row and one label at a time with the scalar
-    ``encode``, ``decode_both`` and ``direct_edge``: the oracle of the array
+    ``encode``, ``decode_both`` and ``scalar_direct_edge``: the oracle of the array
     ``Labeling.verify_properties``, with the same check names.  Shift
     covariance is checked at every representative; a base edge that is no
     label ends in the decoder's NotALabel."""
@@ -214,7 +299,7 @@ def scalar_verify_properties(lab: Labeling) -> None:
     for row in lab.rows:
         rep, edge = row.rep, (row.first, row.second)
         de_a = lab.encode(rep)
-        if edge != canonical_edge(*edge) or de_a != direct_edge(lat, edge, rep):
+        if edge != canonical_edge(*edge) or de_a != scalar_direct_edge(lat, edge, rep):
             raise PropertyCheckFailed("direction", f"rep {rep} -> {row}")
         if edge[0] == edge[1]:
             if edge[0] != zero or rep != zero:
@@ -243,13 +328,13 @@ def scalar_verify_properties(lab: Labeling) -> None:
 
     gens = [lab.sub.from_sub_coords(u) for u in np.eye(lat.dim, dtype=int).tolist()]
     for lam in lab.sub.voronoi_reps:
-        rhs = lab.alpha_u(lam)
+        rhs = alpha_u(lab, lam)
         for s in gens:
             de = lab.encode(_add(lam, s))
             lhs = canonical_edge(*de)
             if lhs != (_add(rhs[0], s), _add(rhs[1], s)):
                 raise PropertyCheckFailed("shift", f"lam={lam}, shift={s}")
-            if de != direct_edge(lat, lhs, _add(lam, s)):
+            if de != scalar_direct_edge(lat, lhs, _add(lam, s)):
                 raise PropertyCheckFailed("direction", f"lam={lam}, shift={s}")
 
 

@@ -26,11 +26,11 @@ from mdlq.codec import (
 )
 from mdlq.errors import InvalidInput, NotALabel
 from mdlq.evaluation import analytic_rates, design_report, rate_targeted_beta
-from mdlq.labeling import DirectedEdge, class_key, direct_edge
+from mdlq.labeling import DirectedEdge, class_key
 from mdlq.lattices import get_lattice
 
 from .conftest import design
-from .reference_design import hand_labeling_a2_31
+from .reference_design import alpha_u, hand_labeling_a2_31, scalar_direct_edge
 
 SQRT3 = math.sqrt(3.0)
 
@@ -259,7 +259,7 @@ def test_bulk_scalar_and_direction_rule_agree(name, n, data):
     e1, e2, _, _ = enc.encode(np.array(pts, dtype=np.int64))
     for lam, p, q in zip(pts, e1.tolist(), e2.tolist()):
         bulk = DirectedEdge(tuple(p), tuple(q))
-        assert bulk == lab.encode(lam) == direct_edge(lab.lattice, lab.alpha_u(lam), lam)
+        assert bulk == lab.encode(lam) == scalar_direct_edge(lab.lattice, alpha_u(lab, lam), lam)
         assert lab.decode_both(bulk) == lam
 
 

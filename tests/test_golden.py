@@ -25,6 +25,8 @@ import pytest
 from mdlq.cli import main
 from mdlq.evaluation import build_design
 
+from .reference_design import scalar_row
+
 DATA = Path(__file__).parent / "data"
 DESIGN_SHA256 = json.loads((DATA / "design_sha256.json").read_text())
 DESIGN_COST = json.loads((DATA / "design_cost.json").read_text())
@@ -68,7 +70,11 @@ def test_design_bytes_pinned(key):
 
 @pytest.mark.parametrize("key", sorted(DESIGN_COST))
 def test_design_cost_pinned(key):
-    """Each design is built and verified and reaches the recorded optimum."""
+    """Each design is built and verified and reaches the recorded optimum,
+    and each of its rows is the scalar direction rule's row of its edge."""
     name, n = key.split("/")
-    cost = build_design(name, int(n)).to_dict()["cost_summary"]
+    lab = build_design(name, int(n))
+    cost = lab.to_dict()["cost_summary"]
     assert {k: cost[k] for k in ("total_num", "total_den")} == DESIGN_COST[key]
+    lat = lab.lattice
+    assert lab.rows == [scalar_row(lat, rep, lab.table[rep]) for rep in lab.sub.coset_reps]

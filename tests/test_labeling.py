@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from mdlq.labeling import (
     _coset_orbits,
     _neg,
     _relocate,
+    _table_rows,
     base_edge_set,
     build_labeling,
     canonical_edge,
@@ -41,10 +43,14 @@ from mdlq.symmetry import group_for, minus_identity_group
 from .conftest import design
 from .reference_design import (
     HAND_COST_A2_31,
+    alpha_u,
     brute_force_min_cost,
     closest_edge_in_class,
     ds_cost,
     hand_labeling_a2_31,
+    scalar_color,
+    scalar_direct_edge,
+    scalar_row,
     scalar_verify_properties,
 )
 
@@ -111,6 +117,89 @@ def test_direct_edge_worked_examples(a2):
 
 def test_direct_edge_zero_edge(a2):
     assert direct_edge(a2, ((3, 1), (3, 1)), (3, 1)) == DirectedEdge((3, 1), (3, 1))
+
+
+def test_direct_edge_and_color_check_their_inputs(a2):
+    """An edge is two points and a point is two integers; anything else
+    raises InvalidInput naming the vector as passed, and the zero edge has
+    no color."""
+    with pytest.raises(InvalidInput, match=r"^\(1,\) has 1 coordinates, expected 2$"):
+        color(a2, ((1,), (2, 3)))
+    with pytest.raises(InvalidInput, match=r"^\(1\.5, 0\) is not a vector of integers$"):
+        color(a2, ((1.5, 0), (0, 0)))
+    with pytest.raises(InvalidInput, match="^1 is not a vector of integers$"):
+        direct_edge(a2, (1, 2), (0, 0))
+    with pytest.raises(InvalidInput, match=r"^\('a', 0\) is not a vector of integers$"):
+        direct_edge(a2, ((0, 0), (1, 0)), ("a", 0))
+    with pytest.raises(InvalidInput, match=r"^\(1, 'a'\) is not a vector of integers$"):
+        direct_edge(a2, ((1, "a"), (1, 0)), (0, 0))
+    with pytest.raises(InvalidInput, match="^5 is not a pair of points$"):
+        color(a2, 5)
+    with pytest.raises(ZeroEdge):
+        color(a2, ((3, 1), (3, 1)))
+
+
+_RULE_COORD = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**60, 2**62, 2**63 - 1, 2**63]).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@st.composite
+def _rule_case(draw, lat):
+    """An edge, in either endpoint order, and a point: free, on the tie
+    hyperplane of the edge, at its midpoint, or with a zero edge."""
+    dim = lat.dim
+    point = st.tuples(*[_RULE_COORD] * dim)
+    lam, e = draw(point), draw(point)
+    kind = draw(st.sampled_from(["free", "tie", "midpoint", "zero"]))
+    if kind == "free":
+        a, b = e, draw(point)
+    elif kind == "zero":
+        a = b = e
+    else:  # a = lam - e - v, b = lam + e - v: lam - mu = v, orthogonal to a - b = -2e
+        v = (0,) * dim
+        if kind == "tie" and dim > 1:
+            g = [sum(map(int.__mul__, row, e)) for row in lat.gram2_rows]
+            i, j = draw(st.permutations(range(dim)))[:2]
+            k = draw(st.integers(-3, 3))
+            v = tuple(k * (g[j] if t == i else -g[i] if t == j else 0) for t in range(dim))
+        a, b = _sub(_sub(lam, e), v), _sub(_add(lam, e), v)
+    return ((b, a) if draw(st.booleans()) else (a, b)), lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["Z1", "Z2", "A2", "Z4", "Z8"]), data=st.data())
+def test_direction_rule_matches_the_scalar_oracle(name, data):
+    """``direct_edge``, ``color`` and the row build agree with the scalar
+    rules of the reference, in int64 and on Python ints past 2^63."""
+    lat = get_lattice(name)
+    cases = data.draw(st.lists(_rule_case(lat), min_size=1, max_size=6))
+    for edge, lam in cases:
+        assert direct_edge(lat, edge, lam) == scalar_direct_edge(lat, edge, lam)
+        if edge[0] == edge[1]:
+            with pytest.raises(ZeroEdge):
+                color(lat, edge)
+        else:
+            assert color(lat, edge) == scalar_color(lat, edge)
+    rows = _table_rows(lat, [lam for _, lam in cases], [edge for edge, _ in cases])
+    assert rows == [scalar_row(lat, lam, edge) for edge, lam in cases]
+    assert all(type(x) is int for row in rows for x in row[3:])
+
+
+def test_direction_rule_matches_the_scalar_oracle_at_the_int64_edges():
+    """Every edge and point with coordinates at the limits of the int64 path,
+    where a sum formed in int64 would wrap, one row at a time."""
+    edges = [2**60, 2**61, 2**62, 2**63 - 1]
+    for name, values in [("Z1", [0, 1, *edges, *(-x for x in edges), -(2**63)]),
+                         ("A2", [0, 2**62, -(2**62), 2**63 - 1])]:
+        lat = get_lattice(name)
+        for a, b, lam in itertools.product(itertools.product(values, repeat=lat.dim), repeat=3):
+            assert direct_edge(lat, (a, b), lam) == scalar_direct_edge(lat, (a, b), lam)
+            assert _table_rows(lat, [lam], [(a, b)]) == [scalar_row(lat, lam, (a, b))]
+            if a != b:
+                assert color(lat, (a, b)) == scalar_color(lat, (a, b))
 
 
 def test_select_point_worked_example():
@@ -367,8 +456,8 @@ def test_shift_property(lab31):
     for _ in range(200):
         lam = tuple(int(x) for x in rng.integers(-30, 30, 2))
         shift = sub.from_sub_coords(tuple(int(x) for x in rng.integers(-3, 4, 2)))
-        a, b = lab31.alpha_u(lam)
-        assert lab31.alpha_u(_add(lam, shift)) == canonical_edge(_add(a, shift), _add(b, shift))
+        a, b = alpha_u(lab31, lam)
+        assert alpha_u(lab31, _add(lam, shift)) == canonical_edge(_add(a, shift), _add(b, shift))
 
 
 def test_reuse_index_region_count():
@@ -393,7 +482,7 @@ def test_midpoint_law_full_period(lab31):
         if e[0] == e[1]:
             continue
         partner = _sub(_add(e[0], e[1]), rep)
-        assert lab31.alpha_u(partner) == e
+        assert alpha_u(lab31, partner) == e
         assert _add(rep, partner) == _add(e[0], e[1])
 
 
@@ -425,7 +514,9 @@ def test_bad_scalar_inputs_raise_named_errors():
         with pytest.raises(InvalidInput):
             lab.encode(bad)
         with pytest.raises(InvalidInput):
-            lab.alpha_u(bad)
+            direct_edge(lab.lattice, ((0, 0), (1, 0)), bad)
+        with pytest.raises(InvalidInput):
+            color(lab.lattice, ((0, 0), bad))
     good = lab.encode((1, 2))
     for bad in ["ab", (good.first,), (good.first, good.second, good.first), 5,
                 (good.first, (0.5, 1)), (good.first, (1, 2, 3))]:
@@ -452,8 +543,8 @@ def test_encode_matches_hand_design_colors():
     rng = np.random.default_rng(9)
     for lam in rng.integers(-20, 20, size=(50, 2)):
         lam = tuple(int(v) for v in lam)
-        e_hand = hand.alpha_u(lam)
-        e_opt = opt.alpha_u(lam)
+        e_hand = alpha_u(hand, lam)
+        e_opt = alpha_u(opt, lam)
         for e in (e_hand, e_opt):
             if e[0] != e[1]:
                 color(lat, e)  # well defined everywhere

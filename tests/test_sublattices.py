@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mdlq.codec import bulk_coset_reduce
 from mdlq.errors import InadmissibleIndex, InvalidInput, NoRepresentation, NotALabel, NotSimilar
+from mdlq.labeling import color, direct_edge
 from mdlq.lattices import get_lattice, int_point
 from mdlq.sublattices import (
     _imatmul,
@@ -51,7 +52,8 @@ def test_scalar_methods_reject_non_integer_coordinates(lab31):
         sub.nearest2,
         sub.coset_reduce,
         lab31.encode,
-        lab31.alpha_u,
+        lambda v: direct_edge(lat, ((0, 0), (5, -1)), v),
+        lambda v: color(lat, ((0, 0), v)),
     ]
     for bad in [(1, 2, 3), (1,), (), (1.5, 0), (0.5, 0.5), (np.float64(4.0), 0), "ab", (1, "2"), 5]:
         for entry in entries:

@@ -5,9 +5,9 @@ from mdlq.errors import GroupPropertyViolation, SizeMismatch
 from mdlq.labeling import _orbit_reps, base_edge_set, canonical_edge
 from mdlq.lattices import get_lattice
 from mdlq.sublattices import SimilarSublattice, _imatvec, design_sublattice
-from mdlq.symmetry import SymmetryGroup, check_group, group_for, minus_identity_group
+from mdlq.symmetry import SymmetryGroup, group_for, minus_identity_group
 
-from .reference_design import ds_cost
+from .reference_design import check_group, ds_cost
 
 
 def test_group_orders():

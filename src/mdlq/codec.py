@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotALabel
 from .evaluation import analytic_point, analytic_rates, cell_volume, normal_float
-from .labeling import DirectedEdge, Labeling, _int_rows, _packed_classes, orientation_flip
+from .labeling import DirectedEdge, Labeling, _class_keys, _int_rows, _packed, orientation_flip
 from .lattices import Lattice, int_point
 from .sublattices import bulk_coset_index
 
@@ -276,7 +276,7 @@ class BulkEncoder:
         row of each key, as ``Labeling.class_table`` holds it."""
         reach = np.abs(np.array(self._base, dtype=np.int64)).max(axis=0)
         n = len(self.reps)
-        packed, inside = _packed_classes(self.ends[n:] - self.ends[:n], reach)
+        packed, inside = _packed(_class_keys(self.ends[n:] - self.ends[:n]), reach)
         keep = np.flatnonzero(inside)
         keys, first = np.unique(packed.take(keep), return_index=True)
         return reach, keys, keep.take(first)
@@ -294,7 +294,7 @@ class BulkEncoder:
             first, second = first.astype(object), second.astype(object)
         reach, keys, class_rows = self._classes
         d = second - first
-        packed, inside = _packed_classes(d, reach)
+        packed, inside = _packed(_class_keys(d), reach)
         pos = np.searchsorted(keys, packed).clip(max=len(keys) - 1)
         found = inside & (keys.take(pos) == packed)
         if not found.all():

@@ -11,7 +11,8 @@ Construction pipeline (all exact integer / rational arithmetic):
 3. ``optimal_class_matching`` -- group-reduced exact min-cost assignment of
                             discrete-Voronoi cosets to edge classes, one
                             transportation over types of class orbits; every
-                            tie goes to the first candidate in order.
+                            tie goes to the first candidate in order; the
+                            group acts on arrays in one product, ``_act``.
 4. color / direction rules -- turn the undirected label into a directed one
                             so the two channels stay balanced.
 
@@ -35,7 +36,7 @@ the direction rule gives the direction each label must have.
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -56,7 +57,7 @@ from .errors import (
     ZeroEdge,
 )
 from .lattices import Lattice, get_lattice, int_point
-from .sublattices import SimilarSublattice, _imatvec, bulk_coset_index, bulk_nearest2
+from .sublattices import SimilarSublattice, bulk_coset_index, bulk_nearest2
 from .symmetry import SymmetryGroup, group_for, minus_identity_group
 
 
@@ -202,15 +203,19 @@ def _table_rows(lat: Lattice, reps, edges) -> list:
     return list(map(Row, reps, firsts, seconds, axis.tolist(), step.tolist(), phase.tolist()))
 
 
-def _packed_classes(delta: np.ndarray, reach: np.ndarray):
-    """The ``class_key`` of each row of the difference array ``delta``, packed
-    in mixed radix over the box [-reach, reach] (first coordinate most
-    significant), and whether it lies in the box; a key outside packs as 0.
-    ``reach`` bounds the base edge set, so the packed keys stay far below 2^63."""
-    key = np.where((_lead(delta) > 0)[:, None], -delta, delta)
-    inside = ((key >= -reach) & (key <= reach)).all(axis=1)
+def _class_keys(delta: np.ndarray) -> np.ndarray:
+    """The ``class_key`` of each row of ``delta``."""
+    return np.where((_lead(delta) > 0)[:, None], -delta, delta)
+
+
+def _packed(rows: np.ndarray, reach: np.ndarray):
+    """Each row packed in mixed radix over the box [-reach, reach] (first
+    coordinate most significant, so packing keeps lexicographic order), and
+    whether it lies in the box; a row outside packs as 0.  Every box packed
+    bounds the base edge set or V0(0), so the keys stay far below 2^63."""
+    inside = ((rows >= -reach) & (rows <= reach)).all(axis=1)
     radix = np.cumprod(np.append(2 * reach[1:] + 1, 1)[::-1])[::-1]
-    digits = np.where(inside[:, None], key + reach, 0).astype(np.int64)
+    digits = np.where(inside[:, None], rows + reach, 0).astype(np.int64)
     return digits @ radix, inside
 
 
@@ -282,45 +287,65 @@ def _relocate(sub: SimilarSublattice, lam: np.ndarray, delta: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _orbit_reps(group: SymmetryGroup, items, act, size: int, what: str):
-    """Lexicographically first element of each orbit of ``items`` under
-    ``act(g, x)``; every orbit must stay inside ``items`` and hold ``size``
-    elements, otherwise SizeMismatch names the condition that failed."""
-    remaining = set(items)
-    reps = []
-    for x in sorted(items):
-        if x not in remaining:
-            continue
-        orb = {act(g, x) for g in group.elements}
-        outside = sorted(orb - remaining)
-        if outside:
-            raise SizeMismatch(
-                f"{what} orbit of {x} leaves the {what} set at {outside[0]}: "
-                f"the set is not closed under the group of order {group.order}"
-            )
-        if len(orb) != size:
-            raise SizeMismatch(f"{what} orbit of {x} has size {len(orb)}, expected {size}")
-        remaining -= orb
-        reps.append(x)
-    return reps
+def _act(group: SymmetryGroup, points) -> np.ndarray:
+    """The image g x of each point x (the rows of ``points``) under each
+    element g of ``group``, as an (order, n, L) array: int64 where every image
+    stays within 2^62, else Python ints in an object array."""
+    mats = np.array(group.elements, dtype=np.int64)
+    rows = _int_rows(points, 2**62 // int(np.abs(mats).sum(axis=2).max()))
+    return rows.reshape(-1, group.lattice.dim) @ mats.astype(rows.dtype).transpose(0, 2, 1)
 
 
-def _coset_orbits(sub: SimilarSublattice, group: SymmetryGroup, reps):
-    """Orbits of the nonzero Voronoi representatives under the group action
-    on cosets (apply the matrix, then take the V0(0) point of the image's
-    coset); every image is indexed in one bulk call."""
-    pts = np.array(reps, dtype=np.int64).reshape(-1, sub.dim)
-    moved = (pts @ np.array(group.elements).transpose(0, 2, 1)).reshape(-1, sub.dim)
-    images = map(sub.coset_reps.__getitem__, bulk_coset_index(sub, moved).tolist())
-    act = dict(zip(itertools.product(group.elements, reps), images))
-    return _orbit_reps(group, reps, lambda g, r: act[g, r], group.order, "Voronoi point")
+def _orbits(items: np.ndarray, images: np.ndarray, size: int, what: str) -> np.ndarray:
+    """The orbits of the sorted distinct rows ``items`` from their (order, n, L)
+    ``images`` under a group: per orbit, by first member, its members' indices
+    in ascending order.  SizeMismatch names the first item whose orbit leaves
+    ``items`` or does not hold ``size`` elements."""
+    order, n, dim = images.shape
+    reach = np.abs(items).max(axis=0, initial=0)
+    table, (keys, inside) = _packed(items, reach)[0], _packed(images.reshape(-1, dim), reach)
+    at = np.searchsorted(table, keys).clip(max=max(n - 1, 0))
+    at = np.where(inside & (table.take(at) == keys), at, -1).reshape(order, n)
+    members = np.sort(at, axis=0)
+    count = 1 + (np.diff(members, axis=0) != 0).sum(axis=0)
+    bad = (members[0] < 0) | (count != size)
+    if bad.any():
+        i = int(bad.argmax())
+        x = tuple(items[i].tolist())
+        if members[0, i] < 0:
+            out = min(map(tuple, images[at[:, i] < 0, i].tolist()))
+            raise SizeMismatch(f"{what} orbit of {x} leaves the {what} set at {out}: "
+                               f"the set is not closed under the group of order {order}")
+        raise SizeMismatch(f"{what} orbit of {x} has size {count[i]}, expected {size}")
+    # An orbit's first member is the least image of each of its items, and
+    # each member is the image of order/size elements (orbit-stabilizer).
+    return members[:: order // size, np.unique(members[0])].T
 
 
-def _class_orbits(group: SymmetryGroup, keys):
-    """Orbits of canonical class keys; each orbit holds order/2 classes."""
-    return _orbit_reps(
-        group, keys, lambda g, k: class_key(_imatvec(g, k)), group.order // 2, "edge class"
-    )
+def _check_group_lattice(sub: SimilarSublattice, group: SymmetryGroup) -> None:
+    if group.lattice.name != sub.lattice.name:
+        raise InvalidInput(f"a group of {group.lattice.name} cannot act on a {sub.lattice.name} design")
+
+
+def _orbit_sets(sub: SimilarSublattice, base_endpoints, group: SymmetryGroup):
+    """The first member of each orbit of the nonzero Voronoi points (each
+    moves to the V0(0) point of its image's coset), and the sorted twists of
+    each orbit of the base edge set's nonzero class keys.  The class orbits are
+    cheap and fail when the full group does not fit the index: checked first."""
+    _check_group_lattice(sub, group)
+    m, dim = group.order, sub.dim
+    reps = np.array([r for r in sub.voronoi_reps if any(r)], dtype=np.int64).reshape(-1, dim)
+    ends = np.array(base_endpoints, dtype=np.int64).reshape(-1, dim)
+    keys = np.unique(_class_keys(ends[ends.any(axis=1)]), axis=0)
+    if 2 * len(keys) != len(reps):
+        raise SizeMismatch(f"{len(reps)} points vs {len(keys)} edge classes")
+    moved = _class_keys(_act(group, keys).reshape(-1, dim)).reshape(m, len(keys), dim)
+    corbs = _orbits(keys, moved, m // 2, "edge class")
+    moved = np.array(sub.coset_reps)[bulk_coset_index(sub, _act(group, reps).reshape(-1, dim))]
+    porbs = _orbits(reps, moved.reshape(m, len(reps), dim), m, "Voronoi point")
+    if len(porbs) != len(corbs):
+        raise SizeMismatch(f"{len(porbs)} point orbits vs {len(corbs)} class orbits")
+    return reps[porbs[:, 0]], keys[corbs]
 
 
 def optimal_class_matching(sub: SimilarSublattice, base_endpoints, group: SymmetryGroup):
@@ -339,38 +364,28 @@ def optimal_class_matching(sub: SimilarSublattice, base_endpoints, group: Symmet
     first minimal twist in sorted order.  Returns anchor pairs
     ``{point_orbit_rep: class_key}`` and the exact total cost.
     """
-    reps = [r for r in sub.voronoi_reps if any(r)]
-    keys = sorted({class_key(p) for p in base_endpoints if any(p)})
-    if 2 * len(keys) != len(reps):
-        raise SizeMismatch(f"{len(reps)} points vs {len(keys)} edge classes")
-    # The class orbits are cheap and are the ones that fail when the full
-    # group does not fit the index, so they are checked first.
-    corbs = _class_orbits(group, keys)
-    porbs = _coset_orbits(sub, group, reps)
-    if len(porbs) != len(corbs):
-        raise SizeMismatch(f"{len(porbs)} point orbits vs {len(corbs)} class orbits")
+    pts, tw = _orbit_sets(sub, base_endpoints, group)
     m, dim = group.order, sub.dim
-    twists = [sorted({class_key(_imatvec(g, k0)) for g in group.elements}) for k0 in corbs]
-    mod2 = [frozenset(tuple(x // sub.index % 2 for x in _imatvec(sub.adjugate, k)) for k in ks)
-            for ks in twists]
+    # A type is the set of its twists' sublattice coordinates mod 2, each a
+    # bit mask; types are numbered in class-orbit order.
+    bits = tw @ np.array(sub.adjugate, dtype=np.int64).T // sub.index % 2 @ (1 << np.arange(dim))
     types = {}
-    col_type = [types.setdefault(key, len(types)) for key in mod2]  # numbered in class-orbit order
+    col_type = [types.setdefault(frozenset(b), len(types)) for b in bits.tolist()]
     _, firsts, caps = np.unique(col_type, return_index=True, return_counts=True)
-    tw = np.array(twists, dtype=np.int64).reshape(len(corbs), m // 2, dim)
-    pts = np.array(porbs, dtype=np.int64).reshape(-1, dim)
 
     def ds2(orbit):  # 2L d_s of each point orbit p against the twists of class orbit orbit[p]
         lam = np.repeat(pts, m // 2, axis=0)
         return _relocate(sub, lam, tw[orbit].reshape(-1, dim))[1].reshape(-1, m // 2)
     # Costs are kept as integers 2L * m * d_s; every d_s has denominator 2L.
     # One relocation per type keeps the working arrays at one row per twist.
-    reduced = m * np.array([ds2(np.full(len(porbs), f)).min(axis=1) for f in firsts]).T
+    reduced = m * np.array([ds2(np.full(len(pts), f)).min(axis=1) for f in firsts]).T
     row_type, _ = min_cost_assignment(reduced, caps)
     # Within each type, point orbits in order take class orbits in order.
-    orbit = np.zeros(len(porbs), dtype=np.intp)
+    orbit = np.zeros(len(pts), dtype=np.intp)
     orbit[np.argsort(row_type, kind="stable")] = np.argsort(col_type, kind="stable")
     cost = ds2(orbit)
-    anchors = {p0: twists[c][i] for p0, c, i in zip(porbs, orbit, cost.argmin(axis=1).tolist())}
+    anchor = tw[orbit, cost.argmin(axis=1)]
+    anchors = dict(zip(map(tuple, pts.tolist()), map(tuple, anchor.tolist())))
     return anchors, Fraction(m * sum(cost.min(axis=1).tolist()), 2 * dim)
 
 
@@ -476,8 +491,8 @@ class Labeling:
         # implies it; checked first, it bounds every coordinate formed below.
         base = np.array(self.base_endpoints, dtype=np.int64)
         reach = np.abs(base).max(axis=0)
-        keys, inside = _packed_classes(second - first, reach)
-        bad = ~(inside & np.isin(keys, _packed_classes(base, reach)[0]))
+        keys, inside = _packed(_class_keys(second - first), reach)
+        bad = ~(inside & np.isin(keys, _packed(_class_keys(base), reach)[0]))
         check("reuse", bad, lambda i: f"{rows[i]}: its edge class is no base edge class")
 
         # Property 3 (+ pairwise balance): each positive-length edge labels two
@@ -563,17 +578,16 @@ class Labeling:
 
 
 def _expand_anchors(sub: SimilarSublattice, group: SymmetryGroup, anchors):
-    """Equivariant extension of per-orbit anchor pairs to the full table."""
-    zero = (0,) * sub.dim
-    moved, keys = [zero], [zero]
-    for p0, k0 in anchors.items():
-        for g in group.elements:
-            moved.append(_imatvec(g, p0))
-            keys.append(class_key(_imatvec(g, k0)))
+    """Equivariant extension of per-orbit anchor pairs to the full table: the
+    zero row, then the images of each anchor pair under every element."""
+    _check_group_lattice(sub, group)
+
+    def images(x):  # the zero row, then the images of each row of x in turn
+        return np.concatenate([[(0,) * sub.dim], _act(group, x).swapaxes(0, 1).reshape(-1, sub.dim)])
+    moved, delta = images(list(anchors)), _class_keys(images(list(anchors.values())))
     # alpha* commutes with the group action up to the coset shift, so
     # relocating for the reduced representatives is exact.
-    reps = np.array(sub.coset_reps)[bulk_coset_index(sub, np.array(moved))]
-    delta = np.array(keys)
+    reps = np.array(sub.coset_reps)[bulk_coset_index(sub, moved)]
     w, ds2 = _relocate(sub, reps, delta)
     table = {}
     for rep, a, b in zip(map(tuple, reps.tolist()), w.tolist(), (w + delta).tolist()):
@@ -591,47 +605,35 @@ def build_labeling(
 ) -> Labeling:
     """Construct the labeling for a sublattice design.
 
-    With no explicit ``anchors`` the optimal group-reduced matching is
-    solved; the full symmetry group is tried first and the always-valid
-    {I, -I} group is used when the requested index breaks an orbit
-    (orbit sizes are index dependent).  Properties 1-3 are verified before
-    returning unless ``check=False``.
+    With no explicit ``group`` the full symmetry group is used where it
+    normalizes the sublattice and both orbit sets close under it with equal
+    counts (orbit sizes are index dependent), else the always-valid {I, -I};
+    with no explicit ``anchors`` the optimal group-reduced matching is solved.
+    Properties 1-3 are verified before returning unless ``check=False``.
     """
     if sub.index % 2 == 0:
         raise InadmissibleIndex(
             f"labeling requires an odd index (got N={sub.index}); even indices "
             "put points on coset boundaries and break the pairing structure"
         )
-    endpoints = base_edge_set(sub)
-    if sub.index > 1:
-        # Negation closure of the edge set (positive-length classes in pairs).
-        eps = set(endpoints)
-        if any(_neg(p) not in eps for p in endpoints):
-            raise AsymmetricEdgeSet("edge set is not negation closed")
-
-    last_err = None
-    for g in [group] if group is not None else _candidate_groups(sub):
+    endpoints = base_edge_set(sub)  # negation closed, or AsymmetricEdgeSet
+    if group is None:
         try:
-            if anchors is None:
-                found, _ = optimal_class_matching(sub, endpoints, g)
-            else:
-                found = {
-                    int_point(p, sub.dim): class_key(int_point(k, sub.dim))
-                    for p, k in anchors.items()
-                }
-            table, cost = _expand_anchors(sub, g, found)
-            if len(table) != sub.index:
-                raise SizeMismatch(f"table has {len(table)} rows, expected {sub.index}")
-            lab = Labeling(sub, g, table, endpoints, found, cost)
-            if check:
-                lab.verify_properties()
-            return lab
-        except SizeMismatch as err:
-            last_err = err
-            if anchors is not None:
-                break
-            continue
-    raise last_err
+            group = group_for(sub.lattice, sub)
+            _orbit_sets(sub, endpoints, group)
+        except (GroupPropertyViolation, SizeMismatch):
+            group = minus_identity_group(sub.lattice)
+    if anchors is None:
+        anchors, _ = optimal_class_matching(sub, endpoints, group)
+    else:
+        anchors = {int_point(p, sub.dim): class_key(int_point(k, sub.dim)) for p, k in anchors.items()}
+    table, cost = _expand_anchors(sub, group, anchors)
+    if len(table) != sub.index:
+        raise SizeMismatch(f"table has {len(table)} rows, expected {sub.index}")
+    lab = Labeling(sub, group, table, endpoints, anchors, cost)
+    if check:
+        lab.verify_properties()
+    return lab
 
 
 def _is_int(x) -> bool:
@@ -685,7 +687,9 @@ def labeling_from_dict(data: dict) -> Labeling:
         raise InvalidInput(
             f"malformed design file: orbit_matching point {off[0]} is not a coset representative"
         )
-    groups = _candidate_groups(sub)
+    groups = [minus_identity_group(sub.lattice)]  # and first the full group if it normalizes sub
+    with contextlib.suppress(GroupPropertyViolation):
+        groups.insert(0, group_for(sub.lattice, sub))
     group = next((g for g in groups if g.order == group_order), None)
     if group is None:
         orders = [g.order for g in groups]
@@ -696,12 +700,3 @@ def labeling_from_dict(data: dict) -> Labeling:
             "serialization", "stored orbit matching or table does not match the rebuild"
         )
     return lab
-
-
-def _candidate_groups(sub: SimilarSublattice):
-    """The full symmetry group if it normalizes ``sub``, then always {I, -I}."""
-    fallback = minus_identity_group(sub.lattice)
-    try:
-        return [group_for(sub.lattice, sub), fallback]
-    except GroupPropertyViolation:
-        return [fallback]

@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import GroupPropertyViolation
 from .lattices import Lattice, get_lattice
-from .sublattices import SimilarSublattice, _imatmul, z8_gamma_matrices
+from .sublattices import SimilarSublattice, _imatmul, bulk_coset_index, z8_gamma_matrices
 
 
 def _idet(m) -> int:
@@ -141,12 +143,14 @@ def _check_lattice_group(group: SymmetryGroup) -> None:
 
 
 def _check_preserves(group: SymmetryGroup, sub: SimilarSublattice) -> None:
-    # Set preservation g * Lambda' == Lambda': every column of g*Gt must be
-    # a sublattice point.  (The conjugate Gt^-1 g Gt is then an integer
-    # isometry of the sublattice; it need not lie in the group itself.)
-    for g in group.elements:
-        if not all(map(sub.contains, zip(*_imatmul(g, sub.gtilde_rows)))):
-            raise GroupPropertyViolation("preserves sublattice", f"element {g}")
+    # g * Lambda' == Lambda': every column of g*Gt is a sublattice point.  (The
+    # conjugate Gt^-1 g Gt is then an integer isometry of the sublattice; it
+    # need not lie in the group itself.)
+    cols = (np.array(group.elements, dtype=np.int64) @ sub.gtilde).transpose(0, 2, 1)
+    off = bulk_coset_index(sub, cols.reshape(-1, sub.dim)) != 0
+    if off.any():
+        g = group.elements[int(off.argmax()) // sub.dim]
+        raise GroupPropertyViolation("preserves sublattice", f"element {g}")
 
 
 @functools.cache

@@ -9,7 +9,9 @@ The scalar color and direction rules (``scalar_color``,
 ``scalar_direct_edge``), the row they give a table edge (``scalar_row``),
 the undirected label of a point (``alpha_u``) and the group checks
 (``check_group``) are the oracles of the package's one array rule and of
-its group property checks.
+its group property checks.  The one-orbit-at-a-time ``orbit_reps`` and the
+coset and class orbits, expansion and group choice built on it are the
+oracles of the package's one array group action.
 
 ``theta_count`` is the classical closed form of each theta series
 (Conway & Sloane, SPLAG, ch. 4), an oracle for the shell counts that shares
@@ -34,7 +36,14 @@ from itertools import permutations, product
 
 import numpy as np
 
-from mdlq.errors import InadmissibleIndex, InvalidInput, PropertyCheckFailed, SizeMismatch, ZeroEdge
+from mdlq.errors import (
+    GroupPropertyViolation,
+    InadmissibleIndex,
+    InvalidInput,
+    PropertyCheckFailed,
+    SizeMismatch,
+    ZeroEdge,
+)
 from mdlq.evaluation import analytic_d0, rate_targeted_beta
 from mdlq.labeling import (
     DirectedEdge,
@@ -47,10 +56,17 @@ from mdlq.labeling import (
     build_labeling,
     canonical_edge,
     class_key,
+    optimal_class_matching,
 )
 from mdlq.lattices import Lattice, sphere_second_moment
-from mdlq.sublattices import SimilarSublattice, design_sublattice, find_params
-from mdlq.symmetry import SymmetryGroup, _check_lattice_group, _check_preserves
+from mdlq.sublattices import SimilarSublattice, _imatvec, design_sublattice, find_params
+from mdlq.symmetry import (
+    SymmetryGroup,
+    _check_lattice_group,
+    _check_preserves,
+    group_for,
+    minus_identity_group,
+)
 
 # u = (5, -1), v = w*u = (1, 6)
 HAND_ANCHORS_A2_31 = {
@@ -168,6 +184,82 @@ def check_group(group: SymmetryGroup, sub: SimilarSublattice | None = None) -> N
     _check_lattice_group(group)
     if sub is not None:
         _check_preserves(group, sub)
+
+
+def orbit_reps(group: SymmetryGroup, items, act, size: int, what: str):
+    """Lexicographically first element of each orbit of ``items`` under
+    ``act(g, x)``, one orbit at a time; every orbit must stay inside ``items``
+    and hold ``size`` elements, otherwise SizeMismatch names the condition
+    that failed.  The oracle of the package's array ``_orbits``."""
+    remaining = set(items)
+    reps = []
+    for x in sorted(items):
+        if x not in remaining:
+            continue
+        orb = {act(g, x) for g in group.elements}
+        outside = sorted(orb - remaining)
+        if outside:
+            raise SizeMismatch(
+                f"{what} orbit of {x} leaves the {what} set at {outside[0]}: "
+                f"the set is not closed under the group of order {group.order}"
+            )
+        if len(orb) != size:
+            raise SizeMismatch(f"{what} orbit of {x} has size {len(orb)}, expected {size}")
+        remaining -= orb
+        reps.append(x)
+    return reps
+
+
+def coset_orbits(sub: SimilarSublattice, group: SymmetryGroup):
+    """Orbits of the nonzero Voronoi representatives under the group action
+    on cosets: apply the matrix, then take the V0(0) point of the image's coset."""
+    reps = [r for r in sub.voronoi_reps if any(r)]
+    return orbit_reps(group, reps, lambda g, r: sub.coset_reduce(_imatvec(g, r))[1], group.order,
+                      "Voronoi point")
+
+
+def class_orbits(group: SymmetryGroup, base_endpoints):
+    """Orbits of the nonzero canonical class keys of the base edge set, each
+    as its sorted twists; every orbit holds order/2 classes."""
+    keys = sorted({class_key(p) for p in base_endpoints if any(p)})
+    act = lambda g, k: class_key(_imatvec(g, k))  # noqa: E731
+    corbs = orbit_reps(group, keys, act, group.order // 2, "edge class")
+    return [sorted({act(g, k0) for g in group.elements}) for k0 in corbs]
+
+
+def expand_anchors(sub: SimilarSublattice, group: SymmetryGroup, anchors):
+    """Equivariant extension of the anchor pairs, one image at a time: each
+    coset rep g p0 takes the class g k0 relocated closest to it (by the
+    package's ``nearest2``, whose oracle is ``closest_edge_in_class``)."""
+    zero = (0,) * sub.dim
+    table = {zero: (zero, zero)}
+    for p0, k0 in anchors.items():
+        for g in group.elements:
+            rep = sub.coset_reduce(_imatvec(g, p0))[1]
+            assert rep not in table, f"orbit expansion revisits representative {rep}"
+            delta = class_key(_imatvec(g, k0))
+            w = sub.nearest2(tuple(2 * x - d for x, d in zip(rep, delta)))
+            table[rep] = canonical_edge(w, _add(w, delta))
+    return table
+
+
+def retry_group(sub: SimilarSublattice):
+    """The group a design is built with, by the rule of trying the full group
+    first: the scalar orbits and the orbit counts, the package's matching and
+    the scalar expansion; the first group under which none raises SizeMismatch,
+    else {I, -I}."""
+    endpoints = base_edge_set(sub)
+    try:
+        group = group_for(sub.lattice, sub)
+        corbs = class_orbits(group, endpoints)
+        if len(coset_orbits(sub, group)) != len(corbs):
+            raise SizeMismatch("point and class orbit counts differ")
+        anchors, _ = optimal_class_matching(sub, endpoints, group)
+        if len(expand_anchors(sub, group, anchors)) != sub.index:
+            raise SizeMismatch("the expansion misses a representative")
+    except (GroupPropertyViolation, SizeMismatch):
+        return minus_identity_group(sub.lattice)
+    return group
 
 
 def ds_cost(lat: Lattice, lam, edge) -> Fraction:

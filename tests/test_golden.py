@@ -13,7 +13,9 @@ exact optimal cost of those designs and of six large ones, as the n x n
 Hungarian solver found it before the typed solver replaced it: a tie rule may
 pick another optimum, but never another cost.  Z1/10001, Z2/10001 and
 A2/10003 were recorded by the typed solver; like every Z1 pin, the cost of
-Z1/10001 is N (N^4 - 1) / 48.
+Z1/10001 is N (N^4 - 1) / 48.  A2/10093, the one large pin built with the
+full group (order 6), was recorded before the group action became one array
+product.
 """
 
 import hashlib

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -22,8 +23,9 @@ from mdlq.evaluation import edge_histogram
 from mdlq.labeling import (
     DirectedEdge,
     Labeling,
-    _coset_orbits,
+    _expand_anchors,
     _neg,
+    _orbit_sets,
     _relocate,
     _table_rows,
     base_edge_set,
@@ -45,14 +47,19 @@ from .reference_design import (
     HAND_COST_A2_31,
     alpha_u,
     brute_force_min_cost,
+    class_orbits,
     closest_edge_in_class,
+    coset_orbits,
     ds_cost,
+    expand_anchors,
     hand_labeling_a2_31,
+    retry_group,
     scalar_color,
     scalar_direct_edge,
     scalar_row,
     scalar_verify_properties,
 )
+from .test_golden import DESIGN_COST
 
 
 def _sub(a, b):
@@ -376,8 +383,7 @@ def test_group_reduction_matches_full_assignment(name, n):
     sub = design_sublattice(name, n, params=(5, -1) if (name, n) == ("A2", 31) else None)
     lat = sub.lattice
     endpoints = base_edge_set(sub)
-    reps = [r for r in sub.voronoi_reps if any(r)]
-    porbs = _coset_orbits(sub, minus_identity_group(lat), reps)
+    porbs = list(map(tuple, _orbit_sets(sub, endpoints, minus_identity_group(lat))[0].tolist()))
     keys = sorted({class_key(p) for p in endpoints if any(p)})
     cost = np.array(
         [
@@ -403,6 +409,45 @@ def test_full_group_failure_names_the_open_edge_set(name, n):
     sub = design_sublattice(name, n)
     with pytest.raises(SizeMismatch, match=r"leaves the edge class set at .* not closed under"):
         build_labeling(sub, group=group_for(sub.lattice, sub))
+
+
+@pytest.mark.parametrize("group", [minus_identity_group(get_lattice("Z4")), group_for(get_lattice("Z2"))])
+def test_a_group_of_another_lattice_is_rejected(group):
+    # The Z4 group named a 4-coordinate point on a 2-dimensional design, and
+    # Z2's group ended in an orbit SizeMismatch.
+    sub = design_sublattice("A2", 31)
+    with pytest.raises(InvalidInput, match=f"group of {group.lattice.name} .* A2 design"):
+        build_labeling(sub, group=group)
+
+
+_ORBIT_DESIGNS = sorted((k for k in DESIGN_COST if int(k.split("/")[1]) <= 3000),
+                        key=lambda k: int(k.split("/")[1]))
+
+
+@pytest.mark.parametrize("key", _ORBIT_DESIGNS)
+def test_group_action_matches_the_scalar_orbits(key):
+    """Orbit representatives, twists and the expanded table under {I, -I} and,
+    where its orbits close, under the full group, the group each design is
+    built with and the error of a full group that does not close, against
+    the one-orbit-at-a-time oracles."""
+    name, n = key.split("/")
+    sub = design_sublattice(name, int(n))
+    endpoints = base_edge_set(sub)
+    chosen = retry_group(sub)
+    assert design(name, int(n)).group.elements == chosen.elements
+    if chosen.order == 2 < (full := group_for(sub.lattice, sub)).order:
+        with pytest.raises(SizeMismatch) as want:
+            class_orbits(full, endpoints)
+            coset_orbits(sub, full)
+        with pytest.raises(SizeMismatch, match=re.escape(str(want.value))):
+            _orbit_sets(sub, endpoints, full)
+    for group in [minus_identity_group(sub.lattice)] + [chosen] * (chosen.order > 2):
+        reps, twists = _orbit_sets(sub, endpoints, group)
+        assert list(map(tuple, reps.tolist())) == coset_orbits(sub, group)
+        assert [list(map(tuple, t)) for t in twists.tolist()] == class_orbits(group, endpoints)
+        anchors, _ = optimal_class_matching(sub, endpoints, group)
+        table, _ = _expand_anchors(sub, group, anchors)
+        assert list(table.items()) == list(expand_anchors(sub, group, anchors).items())
 
 
 # -- build, properties, round trips -----------------------------------------------------

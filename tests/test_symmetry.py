@@ -1,10 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from mdlq.errors import GroupPropertyViolation, SizeMismatch
-from mdlq.labeling import _orbit_reps, base_edge_set, canonical_edge
+from mdlq.labeling import _act, _lead, _orbits, base_edge_set, canonical_edge
 from mdlq.lattices import get_lattice
-from mdlq.sublattices import SimilarSublattice, _imatvec, design_sublattice
+from mdlq.sublattices import (
+    SimilarSublattice,
+    _imatmul,
+    _imatvec,
+    design_sublattice,
+    sublattice_indices,
+)
 from mdlq.symmetry import SymmetryGroup, group_for, minus_identity_group
 
 from .reference_design import check_group, ds_cost
@@ -64,6 +72,28 @@ def test_sublattice_check_runs_on_every_call(z2):
         check_group(group_for(z2), rect)
 
 
+def _first_element_off(group, sub):
+    """The first element that moves a column of Gt off the sublattice, one
+    column at a time; None if every element preserves it."""
+    cols = lambda g: zip(*_imatmul(g, sub.gtilde_rows))  # noqa: E731
+    return next((g for g in group.elements if not all(map(sub.contains, cols(g)))), None)
+
+
+@pytest.mark.parametrize("name,n_max", [("Z1", 51), ("Z2", 400), ("A2", 400), ("Z4", 700), ("Z8", 700)])
+def test_preserves_check_names_the_first_failing_element(name, n_max):
+    lat = get_lattice(name)
+    group = group_for(lat)
+    subs = [design_sublattice(name, n) for n in sorted(sublattice_indices(lat, n_max))]
+    subs.append(SimilarSublattice(lat, (), np.diag([1] * (lat.dim - 1) + [3]), 3, 3))
+    for sub in subs:
+        first = _first_element_off(group, sub)
+        if first is None:
+            group_for(lat, sub)
+        else:
+            with pytest.raises(GroupPropertyViolation, match=re.escape(f"element {first}")):
+                group_for(lat, sub)
+
+
 def test_minus_identity_group(a2):
     g = minus_identity_group(a2)
     assert g.order == 2
@@ -74,7 +104,9 @@ def test_minus_identity_group(a2):
 
 
 def _point_orbits(g, pts, size=None):
-    return _orbit_reps(g, pts, _imatvec, g.order if size is None else size, "point")
+    items = np.array(sorted(pts)).reshape(len(pts), -1)
+    orbits = _orbits(items, _act(g, items), g.order if size is None else size, "point")
+    return [tuple(items[o[0]].tolist()) for o in orbits]
 
 
 def test_orbit_a2_first_shell(a2):
@@ -108,10 +140,13 @@ def test_orbit_edges(a2):
     g = group_for(a2)
     sub = design_sublattice("A2", 7)
     endpoints = base_edge_set(sub)
-    edges = [canonical_edge((0, 0), p) for p in endpoints if any(p)]
-    act = lambda m, e: canonical_edge(_imatvec(m, e[0]), _imatvec(m, e[1]))  # noqa: E731
-    reps = _orbit_reps(g, edges, act, g.order, "edge")
-    assert len(reps) * g.order == len(edges)
+    edges = np.array(sorted(canonical_edge((0, 0), p) for p in endpoints if any(p))).reshape(-1, 4)
+    a, b = _act(g, edges[:, :2]), _act(g, edges[:, 2:])
+    swap = (_lead((b - a).reshape(-1, 2)) < 0).reshape(g.order, -1, 1)  # canonical_edge
+    images = np.concatenate([np.where(swap, b, a), np.where(swap, a, b)], axis=2)
+    orbits = _orbits(edges, images, g.order, "edge")
+    assert orbits.shape == (len(edges) // g.order, g.order)
+    assert sorted(orbits.ravel().tolist()) == list(range(len(edges)))
 
 
 def test_distance_equivariance(a2):

@@ -12,9 +12,9 @@ from ``evaluation.analytic_point``, as every report does, so a scale that
 takes one of them out of the normal float range ends in ``InvalidInput``.
 
 ``simulate`` draws each chunk of ``CHUNK`` samples whole, in the seeded
-order, and then runs it through the pipeline in blocks of ``BLOCK`` rows, so
-that a block's arrays stay in cache: source point, reach check, nearest
-lattice point (``bulk_nearest``), coset reduction and orientation
+order, and then runs it through the pipeline in blocks of at most ``BLOCK``
+rows, so that a block's arrays stay in cache: source point, reach check,
+nearest lattice point (``bulk_nearest``), coset reduction and orientation
 (``BulkEncoder.encode``), squared errors and label counts.  The coset
 reduction (``bulk_coset_reduce``) reads the sublattice's one coset index
 (``sublattices.bulk_coset_index``), which is also the point's row in the
@@ -23,9 +23,16 @@ columns the encoder holds as arrays: the representative is the row's V0(0)
 point, vp = lam - rep is the nearest sublattice point, and its sublattice
 coordinates are u = adj vp / N.  The encoder reads each label's coordinates
 from a per-row table adj ends / N plus u, so the label keys need no further
-matrix product.  Each block writes its squared errors into one (3, m, L)
-array per chunk, summed once per plane, so the distortions do not depend on
-``BLOCK``.
+matrix product.  The blocks are the leaves of numpy's pairwise summation
+tree over the m * L squared errors of a chunk (``_blocks``): each block
+returns the ``np.sum`` of its errors against lam, E1 and E2, and the chunk
+adds them up the same tree (``_tree_sum``), so each distortion is the sum of
+one whole-chunk array, bit for bit, and no such array is made.  A chunk's
+blocks run on a thread pool made for the call, with one thread per core the
+process may run on (``os.sched_getaffinity``, else ``os.cpu_count``) and at
+most one per block; where that is one thread (``taskset -c 0`` gives one),
+they run on the caller's thread.  No result depends on ``BLOCK`` or on the
+number of threads.
 
 ``BulkEncoder.decode`` inverts the encoder on arrays by the rule of the
 scalar ``Labeling.decode_both``: each label's canonical class key, packed in
@@ -38,7 +45,8 @@ the raw labels are dropped block by block.  A ``periods:p`` source reads
 every label modulo p, so its labels lie in the alphabet [0, p)^L; where p^L
 is at most ``BLOCK``, each channel keeps one tally of length p^L for the
 whole call, and each block packs every label row into one key (radix p,
-first coordinate most significant) and adds its ``np.bincount``.  Any other
+first coordinate most significant) and returns its ``np.bincount``, which
+the caller adds to the tally.  Any other
 source keeps each block's distinct label rows and their counts
 (``_row_counts``: every row packed into one int64 in mixed radix and sorted
 once); the block counts are merged per chunk and the chunk counts at the
@@ -61,7 +69,9 @@ Source kinds:
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -446,11 +456,51 @@ def _entropy_bits(counts: np.ndarray, n: int) -> float:
 # Samples per chunk; part of the seeded output (each chunk draws from its own
 # substream), so changing it changes every report.
 CHUNK = 1 << 17
-# Rows per block of the pipeline that runs over each drawn chunk: few enough
-# that a block's int64 arrays stay in a core's L2 cache.  It also bounds the
-# label alphabet that ``simulate`` counts in a dense tally, so a block's
+# Most rows per block of the pipeline that runs over each drawn chunk: few
+# enough that a block's int64 arrays stay in a core's L2 cache.  The blocks are
+# the leaves of numpy's summation tree over the chunk (``_blocks``), so they
+# hold between BLOCK / 2 and BLOCK rows, or at most 128 values.  It also bounds
+# the label alphabet that ``simulate`` counts in a dense tally, so a block's
 # ``bincount`` costs no more than the block.  No result depends on it.
 BLOCK = 1 << 13
+
+
+def _blocks(start: int, stop: int, dim: int):
+    """Rows [start, stop) of a chunk split as numpy's pairwise summation splits
+    their (stop - start) * dim values, down to blocks: a ``slice`` of rows, or
+    a pair of subtrees.  A node of r rows splits while r > ``BLOCK`` and
+    r * dim > 128 (numpy's leaf size); its left part takes half the values
+    rounded down to a multiple of 8, whole rows since dim divides 8."""
+    rows = stop - start
+    if rows <= BLOCK or rows * dim <= 128:
+        return slice(start, stop)
+    mid = start + rows * dim // 2 // 8 * 8 // dim
+    return _blocks(start, mid, dim), _blocks(mid, stop, dim)
+
+
+def _leaves(tree):
+    """The blocks of a ``_blocks`` tree in row order."""
+    if isinstance(tree, slice):
+        return [tree]
+    return _leaves(tree[0]) + _leaves(tree[1])
+
+
+def _tree_sum(tree, sums):
+    """The leaf values ``sums`` (an iterator, in row order) added up the tree
+    as numpy adds its pairwise partial sums: ``np.sum`` of the whole chunk,
+    bit for bit, from ``np.sum`` of each block."""
+    if isinstance(tree, slice):
+        return next(sums)
+    return _tree_sum(tree[0], sums) + _tree_sum(tree[1], sums)
+
+
+def _cores() -> int:
+    """The cores this process may run on; ``simulate`` runs that many blocks
+    at a time."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int) -> SimReport:
@@ -459,7 +509,9 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
     Deterministic for a fixed seed: chunk ``ci`` of ``CHUNK`` samples draws
     from its own substream ``default_rng([seed, ci])`` and results are
     combined in chunk order.  Each chunk is drawn whole and then runs through
-    the pipeline in blocks of ``BLOCK`` rows.
+    the pipeline in blocks (``_blocks``), on min(cores, blocks) threads of a
+    pool that lives for this call, or on the caller's thread where that is
+    one.  No result depends on the block size or the number of threads.
     """
     if n_samples < 1:
         raise InvalidInput(f"sample count must be at least 1, got {n_samples}")
@@ -490,11 +542,10 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
     radix = period ** np.arange(dim - 1, -1, -1, dtype=np.int64) if size else None
     tallies = (np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
 
-    def run_chunk(ci: int):
+    def run_chunk(ci: int, run):
         """The chunk's three squared-error sums over dim and, per channel,
-        the label counts of each block (none where the tallies count them).
-        Its draws and sums are freed on return, before the caller merges the
-        block counts."""
+        the label counts of each block (none where the tallies count them),
+        its blocks run by ``run`` (a ``map``)."""
         m = min(CHUNK, n_samples - ci * CHUNK)
         rng = np.random.default_rng([seed, ci])
         if source.kind == "uniform":
@@ -508,48 +559,62 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
                 off = _hex_cell_offsets(rng, m)
             else:
                 off = rng.uniform(-0.5, 0.5, (m, dim))
-        # Squared errors of lam, E1 and E2; each plane is summed once, in the
-        # same order as one whole-chunk array.
-        sq = np.empty((3, m, dim))
-        blocks = ([], [])
-        for start in range(0, m, BLOCK):
-            b = slice(start, min(start + BLOCK, m))
-            if period:
-                lam0 = reps.take(ridx[b], axis=0) + grid[b] @ sub.gtilde.T
-                x = beta * ((lam0.astype(float) @ embed) + off[b])
-            else:
-                x = drawn[b]
-            # Lattice-frame coordinates are at most twice the embedded ones.
-            reach = np.abs(x).max() / abs(beta)
-            if not reach <= enc.coord_bound / 2:
-                raise InvalidInput(
-                    f"|x/beta| reaches {reach:.3g}, beyond the int64-safe "
-                    f"bound {enc.coord_bound / 2:.3g} of this design"
-                )
-            lam = bulk_nearest(lat, x / beta)
-            e1, e2, u1, u2 = enc.encode(lam)
-            for plane, y in zip(sq, (lam, e1, e2)):
-                np.square(x - beta * (y.astype(float) @ embed), out=plane[b])
-            for counted, tally, u in zip(blocks, tallies, (u1, u2)):
+
+        def run_block(b: slice):
+            """The squared-error sums of lam, E1 and E2 over rows b, and per
+            channel the block's label tally or ``_row_counts``."""
+            # numpy's error state is per thread: a sum past the float range
+            # is caught by the caller, as one named error.
+            with np.errstate(over="ignore"):
                 if period:
-                    u -= u // period * period  # label statistics per period
-                if size:
-                    tally += np.bincount(u @ radix, minlength=size)
+                    lam0 = reps.take(ridx[b], axis=0) + grid[b] @ sub.gtilde.T
+                    x = beta * ((lam0.astype(float) @ embed) + off[b])
                 else:
-                    counted.append(_row_counts(u))
-        return [float(plane.sum()) / dim for plane in sq], blocks
+                    x = drawn[b]
+                # Lattice-frame coordinates are at most twice the embedded ones.
+                reach = np.abs(x).max() / abs(beta)
+                if not reach <= enc.coord_bound / 2:
+                    raise InvalidInput(
+                        f"|x/beta| reaches {reach:.3g}, beyond the int64-safe "
+                        f"bound {enc.coord_bound / 2:.3g} of this design"
+                    )
+                lam = bulk_nearest(lat, x / beta)
+                e1, e2, u1, u2 = enc.encode(lam)
+                sums = [float(np.square(x - beta * (y.astype(float) @ embed)).sum()) for y in (lam, e1, e2)]
+                counts = []
+                for u in (u1, u2):
+                    if period:
+                        u -= u // period * period  # label statistics per period
+                    counts.append(np.bincount(u @ radix, minlength=size) if size else _row_counts(u))
+            return sums, counts
+
+        tree = _blocks(0, m, dim)
+        sums, blocks = [], ([], [])
+        for block_sums, counts in run(run_block, _leaves(tree)):
+            sums.append(block_sums)
+            for counted, tally, c in zip(blocks, tallies, counts):
+                if size:
+                    tally += c
+                else:
+                    counted.append(c)
+        return [_tree_sum(tree, iter(plane)) / dim for plane in zip(*sums)], blocks
 
     sq_sums = []  # per chunk
     found = ([], [])  # per channel and chunk: distinct label coordinates, counts
-    # A sum past the float range is caught below, as one named error.
-    with np.errstate(over="ignore"):
+    workers = min(_cores(), len(_leaves(_blocks(0, min(CHUNK, n_samples), dim))))
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            # Imported here: at the top of the module it slows ``import mdlq``.
+            from concurrent.futures import ThreadPoolExecutor
+
+            run = stack.enter_context(ThreadPoolExecutor(workers)).map
         for ci in range((n_samples + CHUNK - 1) // CHUNK):
-            sums, blocks = run_chunk(ci)
+            sums, blocks = run_chunk(ci, run)
             sq_sums.append(sums)
             for counted, chunks in zip(blocks, found):
                 if counted:
                     chunks.append(_merge_counts(counted))
-                    counted.clear()
 
     d0, d1, d2 = (sum(s[i] for s in sq_sums) / n_samples for i in range(3))
     if not math.isfinite(d0 + d1 + d2):  # the sums are >= 0, so this covers ds too

@@ -617,14 +617,20 @@ def build_labeling(
             "put points on coset boundaries and break the pairing structure"
         )
     endpoints = base_edge_set(sub)  # negation closed, or AsymmetricEdgeSet
+    matched = None
     if group is None:
+        # The orbit sets raise SizeMismatch where the group does not fit the
+        # index; the matching computes them, so it accepts the group itself.
         try:
             group = group_for(sub.lattice, sub)
-            _orbit_sets(sub, endpoints, group)
+            if anchors is None:
+                matched, _ = optimal_class_matching(sub, endpoints, group)
+            else:
+                _orbit_sets(sub, endpoints, group)
         except (GroupPropertyViolation, SizeMismatch):
             group = minus_identity_group(sub.lattice)
     if anchors is None:
-        anchors, _ = optimal_class_matching(sub, endpoints, group)
+        anchors = matched if matched is not None else optimal_class_matching(sub, endpoints, group)[0]
     else:
         anchors = {int_point(p, sub.dim): class_key(int_point(k, sub.dim)) for p, k in anchors.items()}
     table, cost = _expand_anchors(sub, group, anchors)

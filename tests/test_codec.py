@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -459,16 +460,47 @@ def test_simulate_does_not_depend_on_block_size(monkeypatch, name, n, source):
     d = ScaledDesign(design(name, n), beta=0.7)
     src = SourceSpec.parse(source)
 
-    def report(block, n_samples):
+    def report(block, n_samples, workers):
         monkeypatch.setattr(codec, "BLOCK", block)
+        monkeypatch.setattr(codec, "_cores", lambda: workers)
         return simulate(d, src, n_samples, seed=3).to_dict()
 
-    # 150 001 samples end in a partial chunk, and in a partial block below CHUNK.
-    want = report(CHUNK, 150_001)
-    for block in (1000, 8191):
-        assert report(block, 150_001) == want
-    # A block of one row costs about 0.2 ms, so it runs on fewer samples.
-    assert report(1, 3_001) == report(CHUNK, 3_001)
+    # 150 001 samples end in a partial chunk, and in a partial block below
+    # CHUNK; a block of CHUNK rows is the whole chunk, on the caller's thread.
+    want = report(CHUNK, 150_001, 3)
+    for block, workers in itertools.product((1000, 8191), (1, 3)):
+        assert report(block, 150_001, workers) == want
+    # A block of at most 128 values costs about 0.2 ms, so it runs on fewer samples.
+    want = report(CHUNK, 3_001, 1)
+    for workers in (1, 3):
+        assert report(1, 3_001, workers) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+@pytest.mark.parametrize("block", [1, codec.BLOCK])
+def test_block_sums_add_up_to_numpys_sum(monkeypatch, dim, block):
+    # simulate sums each block and adds the block sums up numpy's pairwise
+    # summation tree: the one thing it assumes of numpy's internals.
+    monkeypatch.setattr(codec, "BLOCK", block)
+    rng = np.random.default_rng(dim)
+    for m in (1, 127, 8_191, 8_193, 150_001 - CHUNK, CHUNK):
+        values = rng.normal(size=(m, dim))
+        tree = codec._blocks(0, m, dim)
+        got = codec._tree_sum(tree, (float(values[b].sum()) for b in codec._leaves(tree)))
+        assert got == float(values.sum()), (m, dim)
+
+
+def test_simulate_overflow_in_a_pool_thread_is_invalid_input(monkeypatch):
+    # numpy's error state is per thread, so each block enters its own: a pool
+    # thread under an error filter raised RuntimeWarning on an overflow that
+    # the caller's error state ignored.
+    monkeypatch.setattr(codec, "_cores", lambda: 2)
+    d = ScaledDesign(design("A2", 7), beta=1e153)
+    assert len(codec._leaves(codec._blocks(0, 20_000, d.dim))) >= 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="squared errors overflow"):
+            simulate(d, SourceSpec.parse("gauss:1e153"), 20_000, seed=1)
 
 
 @pytest.mark.parametrize("name,n,period", [("Z8", 81, 2), ("A2", 31, 20), ("Z4", 49, 4)])
@@ -494,7 +526,8 @@ def test_simulate_label_tally_matches_row_counts(monkeypatch, name, n, period):
 
 def test_simulate_peak_memory():
     # tracemalloc peak for these 2^18 samples: about 81 MB while every stage
-    # ran on whole 2^17-row chunks, about 51 MB in blocks.
+    # ran on whole 2^17-row chunks, about 51 MB in blocks that filled one
+    # (3, m, L) squared-error array per chunk, about 28 MB with a sum per block.
     d = ScaledDesign(design("Z8", 81), beta=0.7)
     src = SourceSpec.parse("periods:2")
     simulate(d, src, 1000, seed=1)  # the design's cached tables are built untraced
@@ -504,7 +537,7 @@ def test_simulate_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 66e6
+    assert peak < 40e6
 
 
 def test_simulate_deterministic(lab31):

@@ -28,11 +28,11 @@ tree over the m * L squared errors of a chunk (``_blocks``): each block
 returns the ``np.sum`` of its errors against lam, E1 and E2, and the chunk
 adds them up the same tree (``_tree_sum``), so each distortion is the sum of
 one whole-chunk array, bit for bit, and no such array is made.  A chunk's
-blocks run on a thread pool made for the call, with one thread per core the
-process may run on (``os.sched_getaffinity``, else ``os.cpu_count``) and at
-most one per block; where that is one thread (``taskset -c 0`` gives one),
-they run on the caller's thread.  No result depends on ``BLOCK`` or on the
-number of threads.
+blocks always run on a thread pool made for the call, of one thread per core
+the process may run on (``os.sched_getaffinity``, else ``os.cpu_count``); it
+starts a thread only for a block that finds none idle, so it holds at most
+one per block, and ``taskset -c 0`` gives it one.  No result depends on
+``BLOCK`` or on the number of threads.
 
 ``BulkEncoder.decode`` inverts the encoder on arrays by the rule of the
 scalar ``Labeling.decode_both``: each label's canonical class key, packed in
@@ -69,7 +69,6 @@ Source kinds:
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -510,8 +509,8 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
     from its own substream ``default_rng([seed, ci])`` and results are
     combined in chunk order.  Each chunk is drawn whole and then runs through
     the pipeline in blocks (``_blocks``), on min(cores, blocks) threads of a
-    pool that lives for this call, or on the caller's thread where that is
-    one.  No result depends on the block size or the number of threads.
+    pool that lives for this call.  No result depends on the block size or
+    the number of threads.
     """
     if n_samples < 1:
         raise InvalidInput(f"sample count must be at least 1, got {n_samples}")
@@ -535,7 +534,7 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
     # column has at most one inexact term (the bases are the identity and
     # A2's [[1, -1/2], [0, sqrt(3)/2]]), so no order of the sum changes it.
     embed = np.ascontiguousarray(lat.basis.T)
-    reps = np.array(sorted(sub.voronoi_reps), dtype=np.int64)
+    reps = np.array(sub.voronoi_reps, dtype=np.int64)
     # Labels of a periods:p source lie in [0, p)^L; each channel tallies its
     # radix-p keys there when that alphabet fits in a block.
     size = period**dim if period and period**dim <= BLOCK else 0
@@ -545,7 +544,7 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
     def run_chunk(ci: int, run):
         """The chunk's three squared-error sums over dim and, per channel,
         the label counts of each block (none where the tallies count them),
-        its blocks run by ``run`` (a ``map``)."""
+        its blocks run by ``run`` (the pool's ``map``)."""
         m = min(CHUNK, n_samples - ci * CHUNK)
         rng = np.random.default_rng([seed, ci])
         if source.kind == "uniform":
@@ -601,16 +600,12 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
 
     sq_sums = []  # per chunk
     found = ([], [])  # per channel and chunk: distinct label coordinates, counts
-    workers = min(_cores(), len(_leaves(_blocks(0, min(CHUNK, n_samples), dim))))
-    with contextlib.ExitStack() as stack:
-        run = map
-        if workers > 1:
-            # Imported here: at the top of the module it slows ``import mdlq``.
-            from concurrent.futures import ThreadPoolExecutor
+    # Imported here: at the top of the module it slows ``import mdlq``.
+    from concurrent.futures import ThreadPoolExecutor
 
-            run = stack.enter_context(ThreadPoolExecutor(workers)).map
+    with ThreadPoolExecutor(_cores()) as pool:
         for ci in range((n_samples + CHUNK - 1) // CHUNK):
-            sums, blocks = run_chunk(ci, run)
+            sums, blocks = run_chunk(ci, pool.map)
             sq_sums.append(sums)
             for counted, chunks in zip(blocks, found):
                 if counted:

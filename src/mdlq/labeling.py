@@ -58,7 +58,7 @@ from .errors import (
 )
 from .lattices import Lattice, get_lattice, int_point
 from .sublattices import SimilarSublattice, bulk_coset_index, bulk_nearest2
-from .symmetry import SymmetryGroup, group_for, minus_identity_group
+from .symmetry import SymmetryGroup, _check_group_lattice, group_for, minus_identity_group
 
 
 class DirectedEdge(NamedTuple):
@@ -320,11 +320,6 @@ def _orbits(items: np.ndarray, images: np.ndarray, size: int, what: str) -> np.n
     # An orbit's first member is the least image of each of its items, and
     # each member is the image of order/size elements (orbit-stabilizer).
     return members[:: order // size, np.unique(members[0])].T
-
-
-def _check_group_lattice(sub: SimilarSublattice, group: SymmetryGroup) -> None:
-    if group.lattice.name != sub.lattice.name:
-        raise InvalidInput(f"a group of {group.lattice.name} cannot act on a {sub.lattice.name} design")
 
 
 def _orbit_sets(sub: SimilarSublattice, base_endpoints, group: SymmetryGroup):

@@ -7,8 +7,10 @@ parent.  The working certificate is
     Gt^T * Gram * Gt == c^2 * Gram      (exactly, in integers)
 
 with c^2 = N^(2/L); this is the coordinate-frame version of "Gt/c is
-orthogonal".  The index N equals |det Gt| and is recovered from the
-certificate as c^L, so no floating point enters the construction.
+orthogonal".  It and the self-checks of ``adjugate`` and ``coset_form`` are
+object-dtype array products of Python ints, so no entry wraps.  The index
+N equals |det Gt| and is recovered from the certificate as c^L, so no
+floating point enters the construction.
 
 Families (parameters follow the generator constructions for each lattice):
 
@@ -61,12 +63,6 @@ from .lattices import Lattice, get_lattice, int_point
 def _imatvec(m, v):
     """Exact product of the Python-int rows ``m`` and the Python-int vector ``v``."""
     return tuple(sum(map(operator.mul, row, v)) for row in m)
-
-
-def _imatmul(a, b):
-    """Exact product of two matrices of Python ints, as a tuple of rows."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def _smith_rows(m):
@@ -285,22 +281,17 @@ class SimilarSublattice:
     def adjugate(self):
         """Integer matrix A with A @ Gt == N * I (exact inverse up to N)."""
         L = self.dim
-        g = self.gtilde_rows
+        g = self.gtilde.astype(object)
         if L == 1:
-            adj = [[1]]
+            adj = np.ones((1, 1), dtype=object)
         elif L == 2:
-            adj = [[g[1][1], -g[0][1]], [-g[1][0], g[0][0]]]
+            adj = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]], dtype=object)
         else:
             # Certificate gives Gt^-1 = Gt^T / c^2 for the cubic families.
-            factor = self.index // self.scale_sq  # c^(L-2), an integer
-            adj = [[factor * g[j][i] for j in range(L)] for i in range(L)]
-        prod = _imatmul(adj, g)
-        if all(prod[i][i] == self.index for i in range(L)) and all(
-            prod[i][j] == 0 for i in range(L) for j in range(L) if i != j
-        ):
-            return tuple(tuple(row) for row in adj)
-        adj = [[-x for x in row] for row in adj]
-        return tuple(tuple(row) for row in adj)
+            adj = self.index // self.scale_sq * g.T  # c^(L-2) Gt^T
+        if not (adj @ g == self.index * np.eye(L, dtype=object)).all():
+            adj = -adj
+        return tuple(map(tuple, adj.tolist()))
 
     @cached_property
     def t2_bound(self) -> int:
@@ -320,9 +311,8 @@ class SimilarSublattice:
         keep = [i for i in range(self.dim) if d[i] > 1]
         rows = tuple(tuple(x % d[i] for x in u[i]) for i in keep)
         factors = tuple(d[i] for i in keep)
-        if math.prod(factors) != self.index or any(
-            x % f for row, f in zip(_imatmul(rows, self.gtilde_rows), factors) for x in row
-        ):
+        u_gt = np.array(rows, dtype=object).reshape(-1, self.dim) @ self.gtilde.astype(object)
+        if math.prod(factors) != self.index or (u_gt % np.array(factors, dtype=object)[:, None]).any():
             raise NotSimilar(f"Smith form {d} does not fit the index {self.index}")
         return rows, factors
 
@@ -473,16 +463,11 @@ def build_sublattice(lat: Lattice, params) -> SimilarSublattice:
         raise InvalidInput(f"params {params} do not fit an int64 generator matrix") from None
     L = lat.dim
     # Certify Gt^T Gram Gt == c^2 Gram in exact integers.
-    gram2 = lat.gram2_rows
-    rows = gt.tolist()
-    m = _imatmul(_imatmul(tuple(zip(*rows)), gram2), rows)
-    c2, rem = divmod(m[0][0], gram2[0][0])
-    if rem or c2 < 1:
+    gram2, g = lat.gram2.astype(object), gt.astype(object)
+    m = g.T @ gram2 @ g
+    c2, rem = divmod(m[0, 0], gram2[0, 0])
+    if rem or c2 < 1 or not (m == c2 * gram2).all():
         raise NotSimilar(f"certificate failed for params {params}")
-    for i in range(L):
-        for j in range(L):
-            if m[i][j] != c2 * gram2[i][j]:
-                raise NotSimilar(f"certificate failed for params {params}")
     n_sq = c2**L
     n = math.isqrt(n_sq)
     if n * n != n_sq:

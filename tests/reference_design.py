@@ -7,9 +7,11 @@ row-by-row check of Properties 1-3 on the scalar encoder and decoder.
 
 The scalar color and direction rules (``scalar_color``,
 ``scalar_direct_edge``), the row they give a table edge (``scalar_row``),
-the undirected label of a point (``alpha_u``) and the group checks
-(``check_group``) are the oracles of the package's one array rule and of
-its group property checks.  The one-orbit-at-a-time ``orbit_reps`` and the
+the undirected label of a point (``alpha_u``) are the oracles of the
+package's one array rule.  The group checks (``check_group``: the tuple
+``closure``, ``check_lattice_group`` with its determinant ``idet`` and
+``first_element_off``, all on the exact product ``imatmul``) are the loop
+oracles of the package's array group checks.  The one-orbit-at-a-time ``orbit_reps`` and the
 coset and class orbits, expansion and group choice built on it are the
 oracles of the package's one array group action.
 
@@ -60,13 +62,7 @@ from mdlq.labeling import (
 )
 from mdlq.lattices import Lattice, sphere_second_moment
 from mdlq.sublattices import SimilarSublattice, _imatvec, design_sublattice, find_params
-from mdlq.symmetry import (
-    SymmetryGroup,
-    _check_lattice_group,
-    _check_preserves,
-    group_for,
-    minus_identity_group,
-)
+from mdlq.symmetry import SymmetryGroup, group_for, minus_identity_group
 
 # u = (5, -1), v = w*u = (1, 6)
 HAND_ANCHORS_A2_31 = {
@@ -178,12 +174,105 @@ def alpha_u(lab: Labeling, lam):
     return (_add(a, vp), _add(b, vp))
 
 
+def imatmul(a, b):
+    """Exact product of two matrices of Python ints, as a tuple of rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+
+
+def idet(m) -> int:
+    """Exact integer determinant (Gaussian elimination over the rationals)."""
+    a = [[Fraction(int(x)) for x in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    assert det.denominator == 1
+    return int(det)
+
+
+def closure(gens, dim):
+    """The sorted elements of the group the tuple matrices ``gens`` make,
+    grown one frontier at a time; the oracle of ``symmetry._closure``."""
+    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = imatmul(m, g)
+                if p not in elems:
+                    elems.add(p)
+                    nxt.append(p)
+        frontier = nxt
+        if len(elems) > 512:
+            raise GroupPropertyViolation("closure", "generated group is unexpectedly large")
+    return tuple(sorted(elems))
+
+
+def check_lattice_group(group: SymmetryGroup) -> None:
+    """The lattice checks of ``symmetry._check_lattice_group``, one element
+    or pair at a time, with a determinant for fixed-point freedom."""
+    lat = group.lattice
+    dim = lat.dim
+    elems = set(group.elements)
+    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    if tuple(tuple(-x for x in row) for row in ident) not in elems:
+        raise GroupPropertyViolation("contains -I")
+    gram = lat.gram2_rows
+    for g in group.elements:
+        if imatmul(imatmul(tuple(zip(*g)), gram), g) != gram:
+            raise GroupPropertyViolation("orthogonal", f"element {g}")
+    for a in group.elements:
+        for b in group.elements:
+            if imatmul(a, b) not in elems:
+                raise GroupPropertyViolation("closure")
+    if ident not in elems:
+        raise GroupPropertyViolation("identity")
+    for g in group.elements:
+        if not any(imatmul(g, h) == ident for h in group.elements):
+            raise GroupPropertyViolation("inverses", f"element {g}")
+    for g in group.elements:
+        if g == ident:
+            continue
+        gi = [[g[i][j] - (1 if i == j else 0) for j in range(dim)] for i in range(dim)]
+        if idet(gi) == 0:
+            raise GroupPropertyViolation("fixed-point free", f"element {g}")
+    shells = lat.shells(16 if lat.dim <= 4 else 4).A
+    sizes = [a for a in shells[1:] if a]
+    if sizes and math.gcd(*sizes) % group.order != 0:
+        raise GroupPropertyViolation(
+            "order divides shell-size gcd", f"gcd={math.gcd(*sizes)}, order={group.order}"
+        )
+
+
+def first_element_off(group: SymmetryGroup, sub: SimilarSublattice):
+    """The first element that moves a column of Gt off the sublattice, one
+    column at a time; None if every element preserves it."""
+    cols = lambda g: zip(*imatmul(g, sub.gtilde_rows))  # noqa: E731
+    return next((g for g in group.elements if not all(map(sub.contains, cols(g)))), None)
+
+
 def check_group(group: SymmetryGroup, sub: SimilarSublattice | None = None) -> None:
     """Every structural property check of ``group``, and that it preserves
-    ``sub`` when one is given; raise GroupPropertyViolation."""
-    _check_lattice_group(group)
-    if sub is not None:
-        _check_preserves(group, sub)
+    ``sub`` when one is given, by the scalar oracles above; raise
+    GroupPropertyViolation."""
+    check_lattice_group(group)
+    if sub is not None and (g := first_element_off(group, sub)) is not None:
+        raise GroupPropertyViolation("preserves sublattice", f"element {g}")
 
 
 def orbit_reps(group: SymmetryGroup, items, act, size: int, what: str):

@@ -14,7 +14,6 @@ from mdlq.errors import InadmissibleIndex, InvalidInput, NoRepresentation, NotAL
 from mdlq.labeling import color, direct_edge
 from mdlq.lattices import get_lattice, int_point
 from mdlq.sublattices import (
-    _imatmul,
     _imatvec,
     _smith_rows,
     build_sublattice,
@@ -26,7 +25,7 @@ from mdlq.sublattices import (
     sublattice_indices,
 )
 
-from .reference_design import brute_nearest2
+from .reference_design import brute_nearest2, imatmul
 
 
 def test_build_a2_31_reference_frame(a2):
@@ -98,7 +97,19 @@ def test_build_z8_certificate():
 
 @pytest.mark.parametrize(
     "name,params",
-    [("A2", (5, -1)), ("A2", (1, 6)), ("Z2", (2, 3)), ("Z4", (1, 2, 0, 0)), ("Z8", (1, 1, 1, 0))],
+    [
+        ("A2", (5, -1)),
+        ("A2", (1, 6)),
+        ("Z2", (2, 3)),
+        ("Z4", (1, 2, 0, 0)),
+        ("Z8", (1, 1, 1, 0)),
+        # Gt fits int64, but the certificate, N and the adjugate leave it.
+        ("Z2", (2**31 + 1, 2**31)),
+        ("A2", (2**32 + 1, 2**31)),
+        ("Z4", (2**31 + 1, 2**31, 0, 0)),
+        ("Z8", (2**31 + 1, 2**31, 0, 0)),
+        ("Z1", (2**62 + 1,)),
+    ],
 )
 def test_similarity_certificate_exact(name, params):
     lat = get_lattice(name)
@@ -106,8 +117,9 @@ def test_similarity_certificate_exact(name, params):
     gram = lat.gram2.astype(object)
     gt = sub.gtilde.astype(object)
     assert (gt.T @ gram @ gt == sub.scale_sq * gram).all()
-    # Index equals |det Gt| (via float det, exact for these sizes).
-    assert round(abs(np.linalg.det(sub.gtilde.astype(float)))) == sub.index
+    # Index equals |det Gt|, taken exactly: a float determinant is not at these sizes.
+    assert abs(_exact_det(sub.gtilde.tolist())) == sub.index
+    assert (np.array(sub.adjugate, dtype=object) @ gt == sub.index * np.eye(lat.dim, dtype=object)).all()
 
 
 def test_inadmissible_params():
@@ -295,7 +307,7 @@ def test_smith_rows_give_the_quotient_group(data):
     assert abs(_exact_det(u)) == 1
     assert math.prod(d) == abs(det) and all(x >= 1 for x in d)
     assert all(b % a == 0 for a, b in zip(d, d[1:]))
-    assert all(x % f == 0 for row, f in zip(_imatmul(u, m), d) for x in row)
+    assert all(x % f == 0 for row, f in zip(imatmul(u, m), d) for x in row)
 
 
 @pytest.mark.parametrize(
@@ -461,7 +473,7 @@ def test_scalar_nearest2_matches_bulk_in_box_a2(n):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_integer_helpers_match_object_reference(data):
-    """_imatvec, _imatmul, qshell and inner2 against object-dtype numpy, on
+    """_imatvec, qshell and inner2 against object-dtype numpy, on
     Python ints up to 2^100 and on int64 inputs near 2^62, which must not wrap
     (``int_point`` turns them into Python ints, as every public entry does)."""
     lat = get_lattice(data.draw(st.sampled_from(["Z1", "Z2", "Z4", "Z8", "A2"])))
@@ -473,9 +485,7 @@ def test_integer_helpers_match_object_reference(data):
         return data.draw(st.lists(elements, min_size=dim, max_size=dim))
 
     m = tuple(tuple(vec(big)) for _ in range(dim))
-    b = tuple(tuple(vec(big)) for _ in range(dim))
     m_ref = np.array(m, dtype=object)
-    assert list(map(list, _imatmul(m, b))) == (m_ref @ np.array(b, dtype=object)).tolist()
     gram = lat.gram2.astype(object)
     for u, v in [(vec(big), vec(big)), (np.array(vec(near62)), np.array(vec(near62)))]:
         u_ref, v_ref = np.array(u, dtype=object), np.array(v, dtype=object)

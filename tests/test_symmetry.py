@@ -1,21 +1,23 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
 
-from mdlq.errors import GroupPropertyViolation, SizeMismatch
+from mdlq.errors import GroupPropertyViolation, InvalidInput, SizeMismatch
 from mdlq.labeling import _act, _lead, _orbits, base_edge_set, canonical_edge
 from mdlq.lattices import get_lattice
-from mdlq.sublattices import (
-    SimilarSublattice,
-    _imatmul,
-    _imatvec,
-    design_sublattice,
-    sublattice_indices,
+from mdlq.sublattices import SimilarSublattice, _imatvec, design_sublattice, sublattice_indices
+from mdlq.symmetry import (
+    SymmetryGroup,
+    _check_lattice_group,
+    _closure,
+    _generators,
+    group_for,
+    minus_identity_group,
 )
-from mdlq.symmetry import SymmetryGroup, group_for, minus_identity_group
 
-from .reference_design import check_group, ds_cost
+from .reference_design import check_group, check_lattice_group, closure, ds_cost, first_element_off
 
 
 def test_group_orders():
@@ -72,13 +74,6 @@ def test_sublattice_check_runs_on_every_call(z2):
         check_group(group_for(z2), rect)
 
 
-def _first_element_off(group, sub):
-    """The first element that moves a column of Gt off the sublattice, one
-    column at a time; None if every element preserves it."""
-    cols = lambda g: zip(*_imatmul(g, sub.gtilde_rows))  # noqa: E731
-    return next((g for g in group.elements if not all(map(sub.contains, cols(g)))), None)
-
-
 @pytest.mark.parametrize("name,n_max", [("Z1", 51), ("Z2", 400), ("A2", 400), ("Z4", 700), ("Z8", 700)])
 def test_preserves_check_names_the_first_failing_element(name, n_max):
     lat = get_lattice(name)
@@ -86,12 +81,81 @@ def test_preserves_check_names_the_first_failing_element(name, n_max):
     subs = [design_sublattice(name, n) for n in sorted(sublattice_indices(lat, n_max))]
     subs.append(SimilarSublattice(lat, (), np.diag([1] * (lat.dim - 1) + [3]), 3, 3))
     for sub in subs:
-        first = _first_element_off(group, sub)
+        first = first_element_off(group, sub)
         if first is None:
             group_for(lat, sub)
         else:
             with pytest.raises(GroupPropertyViolation, match=re.escape(f"element {first}")):
                 group_for(lat, sub)
+
+
+@pytest.mark.parametrize(
+    "lat_name,sub_name,n", [("Z4", "Z8", 81), ("Z1", "Z2", 5), ("Z2", "A2", 7)]
+)
+def test_group_for_rejects_a_sublattice_of_another_lattice(lat_name, sub_name, n):
+    with pytest.raises(InvalidInput, match=f"a group of {lat_name} cannot act on a {sub_name} design"):
+        group_for(get_lattice(lat_name), design_sublattice(sub_name, n))
+
+
+def _outcome(check, group):
+    """The text of the GroupPropertyViolation ``check`` raises on ``group``, or None."""
+    try:
+        check(group)
+    except GroupPropertyViolation as e:
+        return str(e)
+    return None
+
+
+def _corrupted_sets(lat):
+    """The standard group's elements, as arrays, and corruptions of them: one
+    element dropped; one or two entries moved by +-1; a coordinate reflection,
+    a swap of two coordinates or a transposed element, added or substituted."""
+    elems = [np.array(g) for g in group_for(lat).elements]
+    rng = np.random.default_rng(sum(map(ord, lat.name)))
+    sets = [elems] + [elems[:i] + elems[i + 1 :] for i in range(len(elems))]
+    for moves in (1, 2) * 20:
+        moved = [g.copy() for g in elems]
+        for i in rng.choice(len(elems), moves, replace=False):
+            moved[i][tuple(rng.integers(0, lat.dim, 2))] += rng.choice([-1, 1])
+        sets.append(moved)
+    eye = np.eye(lat.dim, dtype=np.int64)
+    extras = [eye * np.where(np.arange(lat.dim) == k, -1, 1) for k in range(lat.dim)]
+    for i, j in itertools.combinations(range(lat.dim), 2):
+        perm = np.arange(lat.dim)
+        perm[[i, j]] = j, i
+        extras.append(eye[perm])
+    extras += [g.T for g in elems]
+    for x in extras:
+        at = rng.integers(len(elems))
+        sets += [elems + [x], elems[:at] + [x] + elems[at + 1 :]]
+    return sets
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z2", "A2", "Z4", "Z8"])
+def test_group_checks_match_the_oracle(name):
+    """The array checks raise the loop oracle's GroupPropertyViolation text,
+    naming the same first failing element, or pass where it passes: on the
+    standard group, its corruptions and the coordinate sign-change group."""
+    lat = get_lattice(name)
+    sets = _corrupted_sets(lat)
+    if name != "A2":
+        sets.append([np.diag(s) for s in itertools.product([1, -1], repeat=lat.dim)])
+    for elems in sets:
+        group = SymmetryGroup(lat, tuple(tuple(map(tuple, g.tolist())) for g in elems))
+        assert _outcome(_check_lattice_group, group) == _outcome(check_lattice_group, group), group.elements
+
+
+def test_closure_matches_the_oracle():
+    """The array closure lists each standard group as the sorted tuple
+    closure does, and both stop a generator of infinite order."""
+    for name in ["Z1", "Z2", "A2", "Z4", "Z8"]:
+        lat = get_lattice(name)
+        gens = [tuple(map(tuple, np.array(g).tolist())) for g in _generators(lat)]
+        assert _closure(gens, lat.dim) == closure(gens, lat.dim) == group_for(lat).elements
+    shear = [((1, 1), (0, 1))]
+    for grow in (_closure, closure):
+        with pytest.raises(GroupPropertyViolation, match="unexpectedly large"):
+            grow(shear, 2)
 
 
 def test_minus_identity_group(a2):

@@ -79,7 +79,7 @@ import numpy as np
 from .errors import InvalidInput, NotALabel
 from .evaluation import analytic_point, analytic_rates, cell_volume, normal_float
 from .labeling import DirectedEdge, Labeling, _class_keys, _int_rows, _packed, orientation_flip
-from .lattices import Lattice, int_point
+from .lattices import Lattice, int_point, int_value
 from .sublattices import bulk_coset_index
 
 _SQRT3 = math.sqrt(3.0)
@@ -92,6 +92,8 @@ class SourceSpec:
 
     @classmethod
     def parse(cls, text: str) -> "SourceSpec":
+        if not isinstance(text, str):
+            raise InvalidInput(f"source {text!r} is not a text such as uniform:2.0")
         kind, _, value = text.partition(":")
         kind = kind.strip().lower()
         if kind not in ("uniform", "gauss", "periods"):
@@ -157,9 +159,12 @@ def source_entropy_bits(source: SourceSpec, design: ScaledDesign) -> float:
 def encode_vector(design: ScaledDesign, x) -> DirectedEdge:
     """Quantize a real vector and return its directed label (integer coords
     of the scaled sublattice points)."""
-    t = np.array([x], dtype=float) / design.beta
+    try:
+        t = np.array([x], dtype=float) / design.beta
+    except (TypeError, ValueError):
+        t = None
     # Lattice-frame coordinates are at most twice the embedded ones.
-    if t.shape != (1, design.dim) or not np.abs(t).max() < 2.0**61:
+    if t is None or t.shape != (1, design.dim) or not np.abs(t).max() < 2.0**61:
         raise InvalidInput(f"x must be {design.dim} numbers with finite |x/beta| < 2^61, got {x!r}")
     return design.labeling.encode(bulk_nearest(design.lattice, t)[0].tolist())
 
@@ -354,26 +359,10 @@ class SimReport:
     ds_analytic: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "lattice": self.lattice,
-            "params": list(self.params),
-            "index": self.index,
-            "beta": self.beta,
-            "source": self.source,
-            "n": self.n,
-            "seed": self.seed,
-            "d0": self.d0,
-            "d1": self.d1,
-            "d2": self.d2,
-            "ds": self.ds,
-            "H1": self.h1,
-            "H2": self.h2,
-            "R0_analytic": self.r0_analytic,
-            "R_analytic": self.r_analytic,
-            "d0_analytic": self.d0_analytic,
-            "ds_analytic": self.ds_analytic,
-        }
+        """The fields in order, the rates and entropies named as in the paper."""
+        names = {"h1": "H1", "h2": "H2", "r0_analytic": "R0_analytic", "r_analytic": "R_analytic"}
+        doc = {names.get(k, k): v for k, v in vars(self).items()}
+        return {"schema": 1, **doc, "params": list(self.params)}
 
 
 def _hex_cell_offsets(rng, m):
@@ -512,6 +501,7 @@ def simulate(design: ScaledDesign, source: SourceSpec, n_samples: int, seed: int
     pool that lives for this call.  No result depends on the block size or
     the number of threads.
     """
+    n_samples, seed = int_value(n_samples, "sample count"), int_value(seed, "seed")
     if n_samples < 1:
         raise InvalidInput(f"sample count must be at least 1, got {n_samples}")
     if seed < 0:

@@ -5,20 +5,25 @@ A design's analytic values are formed here once: ``analytic_point`` gives
 d0, the excess and ds = d0 + excess, which every report reads.  One range
 rule (``normal_float``) holds where each float is formed: a value whose exact
 term is positive must be a normal float, else ``InvalidInput``; an exact
-zero stays 0.0.
+zero stays 0.0.  ``cell_volume``, which every analytic value reads, refuses
+a beta that is not a finite number > 0.
 
 The side-distortion sandwich is checked in exact rational arithmetic: with
 d0 subtracted and beta^2 factored out, all three bound terms are rationals,
-so the inequalities hold exactly or not at all.
+so the inequalities hold exactly or not at all.  The sandwich and the edge
+histogram read the L l^2(e) of the table's edges as one exact integer array.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import InadmissibleIndex, InvalidInput, MdlqError, PropertyCheckFailed
 from .labeling import Labeling, build_labeling
@@ -47,7 +52,9 @@ def normal_float(form, cause: str, what: str) -> float:
 
 
 def cell_volume(lat: Lattice, beta: float) -> float:
-    """Volume nu(beta Lambda) of a Voronoi cell of the scaled lattice."""
+    """Volume nu(beta Lambda) of a Voronoi cell; InvalidInput unless 0 < beta < inf."""
+    if not (isinstance(beta, numbers.Real) and math.isfinite(beta) and beta > 0):
+        raise InvalidInput(f"beta must be a finite number > 0, got {beta}")
     what = f"the cell volume beta^{lat.dim} nu"
     return normal_float(lambda: beta**lat.dim * lat.fundamental_volume, f"beta={beta}", what)
 
@@ -126,11 +133,11 @@ def bound_sandwich(labeling: Labeling, beta: float = 1.0) -> BoundSandwich:
     upper adds (2 R(Lambda'))^2 with R the sublattice covering radius.
     """
     n = labeling.index
-    lengths = labeling.edge_lengths_sq()
-    lower_term = sum(lengths, Fraction(0)) / (4 * n)
+    total = sum(labeling.edge_norms().tolist())  # L sum l^2(e), on Python ints
+    lower_term = Fraction(total, 4 * n * labeling.lattice.dim)
     # The covering-radius slack only enters through positive-length edges;
     # the N=1 design (zero edge only) has no side penalty at all.
-    rstar_sq = 4 * labeling.sub.covering_radius_sq() if any(lengths) else Fraction(0)
+    rstar_sq = 4 * labeling.sub.covering_radius_sq() if total else Fraction(0)
     upper_term = lower_term + rstar_sq
     point = analytic_point(labeling, beta)
     d0 = point.d0
@@ -144,18 +151,19 @@ def bound_sandwich(labeling: Labeling, beta: float = 1.0) -> BoundSandwich:
 def edge_histogram(labeling: Labeling):
     """Histogram B_i of edge shell indices, with the theta-series checks.
 
-    Each squared edge length is i * N^(2/L) / L for an integer shell index i;
-    the construction promises B_i = A_i below the last shell and B_K <= A_K.
+    Each edge norm L l^2 is i c^2, c^2 = N^(2/L), for an integer shell index
+    i; the construction promises B_i = A_i below the last shell and B_K <= A_K.
     A_i is counted over the ball of norm K, the design's own shells.
     """
     lat = labeling.lattice
     n = labeling.index
-    hist: dict[int, int] = {}
-    for l2 in labeling.edge_lengths_sq():
-        i = l2 * lat.dim / labeling.sub.scale_sq
-        if i.denominator != 1:
-            raise PropertyCheckFailed("edge-histogram", f"edge length {l2} is not on the shell grid")
-        hist[int(i)] = hist.get(int(i), 0) + 1
+    norms, c2 = labeling.edge_norms(), labeling.sub.scale_sq
+    off = norms % c2 != 0
+    if off.any():
+        l2 = Fraction(int(norms[off.argmax()]), lat.dim)
+        raise PropertyCheckFailed("edge-histogram", f"edge length {l2} is not on the shell grid")
+    shell, count = np.unique(norms // c2, return_counts=True)
+    hist = dict(zip(shell.tolist(), count.tolist()))
     kmax = max(hist)
     shells = Counter(lat.norms(lat.ball(kmax)).tolist())
     last_ok = hist[kmax] <= shells.pop(kmax, 0)
@@ -362,25 +370,14 @@ class DesignReport:
     edge_hist: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "lattice": self.lattice,
-            "params": list(self.params),
-            "index": self.index,
-            "beta": self.beta,
-            "d0_analytic": self.d0_analytic,
-            "excess": self.excess,
-            "ds_analytic": self.ds_analytic,
-            "lower": self.lower,
-            "upper": self.upper,
-            "R0": self.r0,
-            "R": self.r,
-            "edge_histogram": {str(k): v for k, v in sorted(self.edge_hist["B"].items())},
-            "edge_hist_checks": {
-                "B_eq_A_below_K": self.edge_hist["B_eq_A_below_K"],
-                "B_le_A_at_K": self.edge_hist["B_le_A_at_K"],
-            },
-        }
+        """The fields in order: the rates as R0 and R, and the edge histogram
+        as its counts B by shell and its two checks."""
+        doc = {"schema": 1, **vars(self), "params": list(self.params)}
+        hist = doc.pop("edge_hist")
+        doc["R0"], doc["R"] = doc.pop("r0"), doc.pop("r")
+        doc["edge_histogram"] = {str(k): v for k, v in sorted(hist["B"].items())}
+        doc["edge_hist_checks"] = {k: hist[k] for k in ("B_eq_A_below_K", "B_le_A_at_K")}
+        return doc
 
 
 def design_report(labeling: Labeling, beta: float = 1.0, h_bits: float = 0.0) -> DesignReport:

@@ -22,6 +22,9 @@ midpoint that the point lies on.  It builds every ``Row`` of a design in one
 pass, the public ``direct_edge`` and ``color`` are one-row calls of it, and
 ``verify_properties`` applies it to every label it checks.
 
+The sign of the direction rule, the relocation's 2L d_s and the table's edge
+norms (``edge_norms``) are the lattice's one Gram form, ``inner2``/``norms``.
+
 A finished ``Labeling`` keeps one row table in coset-index order: each
 ``Row`` holds a V0(0) representative, its relocated edge and its direction,
 and ``class_table`` maps each edge class to a row index.  ``encode`` shifts
@@ -126,14 +129,9 @@ def _orient(lat: Lattice, a: np.ndarray, b: np.ndarray, lam: np.ndarray):
     and only the midpoint gets 0.  Returns the ``Row`` fields axis j, step and
     phase = a_j + b_j (+ step where the sign is negative), so that
     ``orientation_flip(phase, step, 0)`` is 1 where (a, b) is reversed, and
-    whether the sign is 0; a zero edge gets axis 0, step 1, phase 0.  The sign
-    is formed in int64 while its terms bound it below 2^63, else on Python ints."""
+    whether the sign is 0; a zero edge gets axis 0, step 1, phase 0."""
     d, w2 = a - b, 2 * lam - a - b
-    if d.dtype != object and w2.dtype != object:
-        reach = int(np.abs(d).max(initial=0)) * int(np.abs(w2).max(initial=0))
-        if reach * int(np.abs(lat.gram2).sum()) >= 2**63:
-            d, w2 = d.astype(object), w2.astype(object)
-    s = (d @ lat.gram2 * w2).sum(axis=1)
+    s = lat.inner2(d, w2)
     s = np.where(s != 0, s, _lead(w2))
     j = (d != 0).argmax(axis=1)[:, None]
     dj = np.abs(np.take_along_axis(d, j, axis=1)[:, 0])
@@ -275,10 +273,7 @@ def _relocate(sub: SimilarSublattice, lam: np.ndarray, delta: np.ndarray):
     so each edge is {w, w + delta}, and 2L * d_s of each row, where
     d_s(lam, {a, b}) = (||lam - a||^2 + ||lam - b||^2) / 2."""
     w = bulk_nearest2(sub, 2 * lam - delta)
-    d = np.concatenate([lam - w, lam - w - delta])
-    if np.abs(d).max(initial=0) >= 2**27:  # keep the squared lengths exact
-        d = d.astype(object)
-    q = sub.lattice.norms(d)
+    q = sub.lattice.norms(np.concatenate([lam - w, lam - w - delta]))
     return w, q[: len(w)] + q[len(w) :]
 
 
@@ -420,10 +415,11 @@ class Labeling:
     def index(self) -> int:
         return self.sub.index
 
-    def edge_lengths_sq(self):
-        """Normalized squared lengths l^2(e) over all N table rows, exact."""
-        lat = self.lattice
-        return [Fraction(lat.qshell(_sub(e[1], e[0])), lat.dim) for e in self.table.values()]
+    def edge_norms(self) -> np.ndarray:
+        """L * ||b - a||^2 of each of the N table edges (a, b): the squared
+        lengths l^2(e) times L, exact integers."""
+        a, b = (_int_rows(e, 2**61) for e in zip(*self.table.values()))
+        return self.lattice.norms(b - a)
 
     # -- encoding ----------------------------------------------------------------
 

@@ -8,7 +8,8 @@ Conventions used throughout the package:
   ``<x,y> = (1/L) sum x_i y_i``.  To stay in exact integer arithmetic we work
   with the *unnormalized* squared length ``L*||u||^2``, which is an integer
   for every supported lattice (for the hexagonal lattice it is the binary
-  quadratic form ``x^2 + y^2 - x*y``).
+  quadratic form ``x^2 + y^2 - x*y``).  The one Gram form, ``inner2`` and
+  ``norms`` on integer rows, picks int64 or Python ints itself.
 * Ties in nearest-point searches are broken toward the candidate whose
   integer coordinate vector is lexicographically smallest.  Lexicographic
   order is translation invariant, which makes the tie rule shift-equivariant.
@@ -26,7 +27,6 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -46,6 +46,11 @@ def _capped(size: int, what: str) -> None:
     """ResourceLimit unless ``size`` is within _SHELL_CAP."""
     if size > _SHELL_CAP:
         raise ResourceLimit(f"{what} of {size} entries exceeds the cap of {_SHELL_CAP}")
+
+
+def _reach(x: np.ndarray) -> int:
+    """max |x| over the entries of an integer array, as a Python int."""
+    return max(-int(x.min(initial=0)), int(x.max(initial=0)))
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:
@@ -72,28 +77,23 @@ class Lattice:
     def __repr__(self) -> str:
         return f"Lattice({self.name})"
 
-    # -- exact arithmetic on coordinate vectors -----------------------------
+    # -- the Gram form on integer rows, and the embedding ----------------------
 
-    @cached_property
-    def gram2_rows(self):
-        """``gram2`` as a tuple of rows of Python ints."""
-        return tuple(map(tuple, self.gram2.tolist()))
-
-    def qshell(self, u) -> int:
-        """Unnormalized squared length L*||u||^2 (an integer)."""
-        return self.inner2(u, u) // 2
+    def inner2(self, a, b) -> np.ndarray:
+        """2x the unnormalized inner product of each row pair of the (n, L)
+        integer arrays ``a`` and ``b``, exact: in int64 while
+        max|a| max|b| sum|gram2| < 2^63, which bounds every partial sum,
+        else on Python ints in object arrays."""
+        a, b, g = np.asarray(a), np.asarray(b), self.gram2
+        if a.dtype.kind == b.dtype.kind == "i" and _reach(a) * _reach(b) * int(np.abs(g).sum()) < 2**63:
+            a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+        else:
+            a, b, g = a.astype(object), b.astype(object), g.astype(object)
+        return (a @ g * b).sum(axis=1)
 
     def norms(self, points) -> np.ndarray:
-        """L*||u||^2 of each row of ``points``, exact while no product overflows its dtype."""
-        p = np.asarray(points)
-        return ((p @ self.gram2) * p).sum(axis=1) // 2
-
-    def inner2(self, u, v) -> int:
-        """2x the unnormalized inner product of coordinate vectors (integer);
-        see ``int_point`` for the vectors it takes."""
-        u, v = int_point(u, self.dim), int_point(v, self.dim)
-        rows = self.gram2_rows
-        return sum(x * sum(map(operator.mul, row, v)) for x, row in zip(u, rows) if x)
+        """Unnormalized squared length L*||u||^2 of each row of ``points``."""
+        return self.inner2(points, points) // 2
 
     def embed(self, u) -> np.ndarray:
         """Map lattice coordinates to a point of R^L."""
@@ -214,9 +214,17 @@ def int_point(v, dim: int, error=InvalidInput):
     return p
 
 
+def int_value(v, what: str) -> int:
+    """``v`` as a Python int; InvalidInput naming ``what`` and ``v`` otherwise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise InvalidInput(f"{what} {v!r} is not an integer") from None
+
+
 def get_lattice(name: str) -> Lattice:
     """Look up a supported lattice by its canonical name."""
-    key = name.upper() if name.lower() != "a2" else "A2"
+    key = name.upper() if isinstance(name, str) else name
     if key not in LATTICE_NAMES:
         raise InvalidInput(f"unknown lattice {name!r}; expected one of {LATTICE_NAMES}")
     if key == "A2":

@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InadmissibleIndex, InvalidInput, NoRepresentation, NotSimilar
-from .lattices import Lattice, get_lattice, int_point
+from .lattices import Lattice, get_lattice, int_point, int_value
 
 
 def _imatvec(m, v):
@@ -215,6 +215,7 @@ def _check_params(lat: Lattice, params):
 def _param_blocks(lat: Lattice, n_max: int):
     """Every nonnegative parameter vector whose index N <= n_max the family
     admits, in lexicographic order: (params, norms) blocks of int64 arrays."""
+    n_max = int_value(n_max, "index")
     if n_max >= 2**55:  # Z8's box corners reach norm 256 n_max, in int64
         raise InvalidInput(f"index {n_max} is beyond the int64 parameter search")
     fam = _FAMILIES[lat.name]
@@ -405,7 +406,7 @@ def bulk_nearest2_coords(sub: SimilarSublattice, t2: np.ndarray) -> np.ndarray:
         w0 = t2 - 2 * p0
         for k, off in enumerate(2 * offs):
             w = w0 - off
-            d = w[:, 0] * (w[:, 0] - w[:, 1]) + w[:, 1] * w[:, 1]  # qshell(w)
+            d = w[:, 0] * (w[:, 0] - w[:, 1]) + w[:, 1] * w[:, 1]  # norms(w), inline
             if k == 0:
                 best, pick = d, np.zeros(len(d), dtype=np.intp)
             else:
@@ -455,7 +456,10 @@ def bulk_coset_index(sub: SimilarSublattice, lam: np.ndarray) -> np.ndarray:
 
 def build_sublattice(lat: Lattice, params) -> SimilarSublattice:
     """Construct and certify a similar sublattice from family parameters."""
-    params = tuple(int(p) for p in params)
+    try:
+        params = tuple(map(operator.index, params))
+    except TypeError:
+        raise InvalidInput(f"params {params!r} are not a sequence of integers") from None
     _check_params(lat, params)
     try:
         gt = _gtilde(lat, params)
@@ -493,6 +497,8 @@ def find_params(lat: Lattice, n: int):
 def design_sublattice(lat_name: str, index: int | None = None, params=None) -> SimilarSublattice:
     """Convenience entry point: build from explicit params or search by index."""
     lat = get_lattice(lat_name)
+    if index is not None:
+        index = int_value(index, "index")
     if params is None:
         if index is None:
             raise InvalidInput("either index or params is required")

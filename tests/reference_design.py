@@ -104,6 +104,13 @@ def theta_count(name: str, n: int) -> int:
     raise ValueError(f"no theta series for {name}")
 
 
+def gram2_form(lat: Lattice, u, v) -> int:
+    """2x the unnormalized inner product of two Python-int vectors, summed
+    over the rows of ``lat.gram2``: the references' own Gram form, which
+    shares no code with ``Lattice.inner2``."""
+    return sum(x * sum(map(operator.mul, row, v)) for x, row in zip(u, lat.gram2.tolist()))
+
+
 def scalar_color(lat: Lattice, edge) -> int:
     """Parity bit of an edge; alternates along any line of shifted copies.
 
@@ -127,7 +134,7 @@ def _orientation_sign(lat: Lattice, edge, lam) -> int:
     a, b = edge
     d = _sub(a, b)
     w2 = tuple(2 * x - y - z for x, y, z in zip(lam, a, b))
-    s = sum(x * sum(map(operator.mul, row, w2)) for x, row in zip(d, lat.gram2_rows))
+    s = gram2_form(lat, d, w2)
     if s:
         return 1 if s > 0 else -1
     for x in w2:
@@ -232,7 +239,7 @@ def check_lattice_group(group: SymmetryGroup) -> None:
     ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     if tuple(tuple(-x for x in row) for row in ident) not in elems:
         raise GroupPropertyViolation("contains -I")
-    gram = lat.gram2_rows
+    gram = tuple(map(tuple, lat.gram2.tolist()))
     for g in group.elements:
         if imatmul(imatmul(tuple(zip(*g)), gram), g) != gram:
             raise GroupPropertyViolation("orthogonal", f"element {g}")
@@ -354,7 +361,8 @@ def retry_group(sub: SimilarSublattice):
 def ds_cost(lat: Lattice, lam, edge) -> Fraction:
     """Side distortion d_s(lam, edge) = (||lam-a||^2 + ||lam-b||^2)/2, exact."""
     a, b = edge
-    return Fraction(lat.qshell(_sub(lam, a)) + lat.qshell(_sub(lam, b)), 2 * lat.dim)
+    da, db = _sub(lam, a), _sub(lam, b)
+    return Fraction(gram2_form(lat, da, da) + gram2_form(lat, db, db), 4 * lat.dim)
 
 
 def brute_nearest2(sub: SimilarSublattice, t2):
@@ -374,7 +382,7 @@ def brute_nearest2(sub: SimilarSublattice, t2):
         u = [b + o for b, o in zip(base, off)]
         p = tuple(sum(map(operator.mul, row, u)) for row in sub.gtilde_rows)
         w = [t - 2 * c for t, c in zip(t2, p)]
-        key = (sum(x * sum(map(operator.mul, row, w)) for x, row in zip(w, lat.gram2_rows)), p)
+        key = (gram2_form(lat, w, w), p)
         if best is None or key < best:
             best = key
     return best[1]

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -26,7 +27,7 @@ from mdlq.codec import (
     source_entropy_bits,
 )
 from mdlq.errors import InvalidInput, NotALabel
-from mdlq.evaluation import analytic_rates, design_report, rate_targeted_beta
+from mdlq.evaluation import analytic_rates, bound_sandwich, design_report, rate_targeted_beta
 from mdlq.labeling import DirectedEdge, class_key
 from mdlq.lattices import get_lattice
 
@@ -43,6 +44,8 @@ def test_source_spec_parsing():
     for text in ("weird:1", "uniform", "periods:2.5", "gauss:0", "gauss:nan", "periods:inf"):
         with pytest.raises(InvalidInput):
             SourceSpec.parse(text)
+    with pytest.raises(InvalidInput, match="source 3 is not a text"):
+        SourceSpec.parse(3)
 
 
 def test_encode_vector_origin(lab31):
@@ -91,10 +94,11 @@ def test_round_trip_through_codec(lab31):
 
 
 @pytest.mark.parametrize(
-    "x", [(float("nan"), 0.0), (0.0, -float("inf")), (1e300, 0.0), (0.4,), (0.2, 0.3, 5.0)]
+    "x", [(float("nan"), 0.0), (0.0, -float("inf")), (1e300, 0.0), (0.4,), (0.2, 0.3, 5.0), [1, [2]], "ab"]
 )
 def test_encode_vector_rejects_bad_input(lab31, x):
-    with pytest.raises(InvalidInput):
+    # A ragged list and a string used to end in numpy's ValueError.
+    with pytest.raises(InvalidInput, match=re.escape(f"got {x!r}")):
         encode_vector(ScaledDesign(lab31, beta=1.0), x)
 
 
@@ -426,10 +430,34 @@ def test_simulate_constant_labels_have_zero_entropy():
 # -- simulation -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize("n", [0, -5, 10.5, "10"])
 def test_simulate_rejects_empty_sample_count(lab31, n):
-    with pytest.raises(InvalidInput):
+    # A float or a string count used to end in a TypeError.
+    with pytest.raises(InvalidInput, match=f"sample count.*{re.escape(repr(n))}"):
         simulate(ScaledDesign(lab31, beta=1.0), SourceSpec.parse("uniform:2"), n, seed=1)
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", -1])
+def test_simulate_rejects_a_seed_that_is_no_integer_or_negative(lab31, seed):
+    # A float seed used to end in numpy's TypeError from default_rng.
+    with pytest.raises(InvalidInput, match=f"seed.*{re.escape(repr(seed))}"):
+        simulate(ScaledDesign(lab31, beta=1.0), SourceSpec.parse("uniform:2"), 10, seed)
+
+
+@pytest.mark.parametrize("name,n", [("Z1", 5), ("Z2", 5), ("A2", 7), ("Z4", 9), ("Z8", 81)])
+@pytest.mark.parametrize("beta", [-0.5, 0.0, -1e300, float("nan"), float("inf"), "0.5"])
+def test_a_beta_that_is_not_finite_and_positive_is_invalid_input(name, n, beta):
+    # Only Z1 used to refuse beta <= 0, and in a message about the cell volume;
+    # the others returned reports at the negative scale.
+    lab = design(name, n)
+    want = re.escape(f"beta must be a finite number > 0, got {beta}")
+    for call in (
+        lambda: simulate(ScaledDesign(lab, beta), SourceSpec.parse("uniform:1"), 10, seed=1),
+        lambda: bound_sandwich(lab, beta),
+        lambda: design_report(lab, beta),
+    ):
+        with pytest.raises(InvalidInput, match=want):
+            call()
 
 
 @pytest.mark.parametrize("name,n", [("A2", 7), ("Z4", 9)])

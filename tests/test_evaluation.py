@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mdlq.errors import InadmissibleIndex, InvalidInput, MdlqError, NoRepresentation, PropertyCheckFailed
@@ -95,24 +96,23 @@ def test_edge_histogram_matches_theta_shells(name, n):
     assert h["B_eq_A_below_K"] and h["B_le_A_at_K"]
 
 
-def _histogram_of_lengths(lab, lengths):
+def _histogram_of_norms(lab, norms):
     broken = dataclasses.replace(lab)
-    broken.edge_lengths_sq = lambda: lengths
+    broken.edge_norms = lambda: np.array(norms)
     return edge_histogram(broken)
 
 
 def test_edge_histogram_flags_a_full_shell_missing_a_vector(lab31):
     # Shell 1 (6 vectors) lies below K = 7; drop one of its edges.
-    lengths = lab31.edge_lengths_sq()
-    lengths.remove(Fraction(lab31.sub.scale_sq, 2))
-    h = _histogram_of_lengths(lab31, lengths)
+    norms = lab31.edge_norms().tolist()
+    norms.remove(lab31.sub.scale_sq)
+    h = _histogram_of_norms(lab31, norms)
     assert not h["B_eq_A_below_K"] and h["B_le_A_at_K"]
 
 
 def test_edge_histogram_flags_more_edges_than_shell_k_holds(lab31):
     # All 12 vectors of shell K = 7 are edges already; a 13th overfills it.
-    lengths = [*lab31.edge_lengths_sq(), Fraction(7 * lab31.sub.scale_sq, 2)]
-    h = _histogram_of_lengths(lab31, lengths)
+    h = _histogram_of_norms(lab31, [*lab31.edge_norms().tolist(), 7 * lab31.sub.scale_sq])
     assert h["B_eq_A_below_K"] and not h["B_le_A_at_K"]
 
 
@@ -293,8 +293,9 @@ def test_design_report_names_a_broken_sandwich(lab31):
 
 def test_edge_histogram_names_an_edge_off_the_shell_grid(lab31):
     broken = dataclasses.replace(lab31)
-    broken.edge_lengths_sq = lambda: [Fraction(1, 3)]
-    with pytest.raises(PropertyCheckFailed, match="edge-histogram"):
+    broken.edge_norms = lambda: np.array([0, 2 * lab31.sub.scale_sq, 1])
+    want = re.escape("edge-histogram (edge length 1/2 is not on the shell grid)")
+    with pytest.raises(PropertyCheckFailed, match=want):
         edge_histogram(broken)
 
 

@@ -168,7 +168,7 @@ def _rule_case(draw, lat):
     else:  # a = lam - e - v, b = lam + e - v: lam - mu = v, orthogonal to a - b = -2e
         v = (0,) * dim
         if kind == "tie" and dim > 1:
-            g = [sum(map(int.__mul__, row, e)) for row in lat.gram2_rows]
+            g = [sum(map(int.__mul__, row, e)) for row in lat.gram2.tolist()]
             i, j = draw(st.permutations(range(dim)))[:2]
             k = draw(st.integers(-3, 3))
             v = tuple(k * (g[j] if t == i else -g[i] if t == j else 0) for t in range(dim))
@@ -264,7 +264,7 @@ def test_base_edge_set_z2_5():
     endpoints = base_edge_set(sub)
     nonzero = [p for p in endpoints if any(p)]
     assert len(nonzero) == 4
-    assert all(sub.lattice.qshell(p) == 5 for p in nonzero)
+    assert (sub.lattice.norms(np.array(nonzero)) == 5).all()
 
 
 def test_base_edge_set_partial_shell_keeps_pairs():
@@ -312,7 +312,8 @@ def test_closest_edge_at_origin(lab31):
         e = closest_edge_in_class(sub, (0, 0), p)
         mid2 = _add(e[0], e[1])
         # No strictly closer shift of the same class exists.
-        assert sub.lattice.qshell(mid2) <= sub.lattice.qshell(_sub(mid2, tuple(2 * x for x in p)))
+        near, far = sub.lattice.norms(np.array([mid2, _sub(mid2, tuple(2 * x for x in p))]))
+        assert near <= far
 
 
 def test_closest_edge_z2_brute():
@@ -349,11 +350,12 @@ def test_relocate_matches_scalar_oracle(name, n):
 def test_parallelogram_identity(lab31):
     # 2 d_s = l^2/2 + 2 r^2, exactly, for every table row.
     lat = lab31.lattice
-    for rep, e in lab31.table.items():
-        l2 = Fraction(lat.qshell(_sub(e[1], e[0])), lat.dim)
-        mid2 = _add(e[0], e[1])
-        r2 = Fraction(lat.qshell(_sub(tuple(2 * x for x in rep), mid2)), 4 * lat.dim)
-        assert 2 * ds_cost(lat, rep, e) == Fraction(1, 2) * l2 + 2 * r2
+    reps, edges = zip(*lab31.table.items())
+    a, b = (np.array(e) for e in zip(*edges))
+    l2s = lat.norms(b - a).tolist()
+    r2s = lat.norms(2 * np.array(reps) - a - b).tolist()
+    for rep, e, l2, r2 in zip(reps, edges, l2s, r2s):
+        assert 2 * ds_cost(lat, rep, e) == Fraction(l2, 2 * lat.dim) + Fraction(r2, 2 * lat.dim)
 
 
 # -- optimal matching -----------------------------------------------------------------
@@ -516,7 +518,7 @@ def test_reuse_index_region_count():
             de = lab.encode((x, y))
             c1[de.first] += 1
             c2[de.second] += 1
-    interior = [p for p in c1 if lat.qshell(p) < (b // 2) ** 2]
+    interior = [p for p, q in zip(c1, lat.norms(np.array(list(c1)))) if q < (b // 2) ** 2]
     assert len(interior) > 50
     assert all(c1[p] == 7 for p in interior)
     assert all(c2[p] == 7 for p in interior)
@@ -542,8 +544,9 @@ def test_per_edge_channel_distances_match(lab31):
         da = lab31.encode(rep)
         db = lab31.encode(partner)
         assert db == da.reversed()
-        assert lat.qshell(_sub(rep, da.first)) == lat.qshell(_sub(partner, db.first))
-        assert lat.qshell(_sub(rep, da.second)) == lat.qshell(_sub(partner, db.second))
+        ends = [(rep, da.first), (rep, da.second), (partner, db.first), (partner, db.second)]
+        q = lat.norms(np.array([_sub(x, e) for x, e in ends])).tolist()
+        assert q[:2] == q[2:]
 
 
 def test_decode_errors(lab31):

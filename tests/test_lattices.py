@@ -51,10 +51,11 @@ def test_ball_is_the_filtered_box_in_order(name, max_norm):
     lat = get_lattice(name)
     b = math.isqrt(2 * max_norm)
     box = list(itertools.product(range(-b, b + 1), repeat=lat.dim))
+    norms = lat.norms(np.array(box)).tolist()
     for m in range(max_norm + 1):
         ball = lat.ball(m)
         assert ball.dtype == np.int64 and ball.shape[1] == lat.dim
-        assert list(map(tuple, ball.tolist())) == [p for p in box if lat.qshell(p) <= m]
+        assert list(map(tuple, ball.tolist())) == [p for p, q in zip(box, norms) if q <= m]
 
 
 @pytest.mark.parametrize(
@@ -222,3 +223,5 @@ def test_sphere_second_moment_limit():
 def test_unknown_lattice_is_invalid_input():
     with pytest.raises(InvalidInput, match="unknown lattice 'A3'"):
         get_lattice("A3")
+    with pytest.raises(InvalidInput, match="unknown lattice 3"):  # was an AttributeError
+        get_lattice(3)

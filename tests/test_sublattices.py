@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -43,9 +44,6 @@ def test_scalar_methods_reject_non_integer_coordinates(lab31):
     sub = design_sublattice("A2", 31)
     lat = sub.lattice
     entries = [
-        lat.qshell,
-        lambda v: lat.inner2(v, (1, 0)),
-        lambda v: lat.inner2((1, 0), v),
         sub.contains,
         sub.from_sub_coords,
         sub.nearest2,
@@ -60,8 +58,6 @@ def test_scalar_methods_reject_non_integer_coordinates(lab31):
                 entry(bad)
         with pytest.raises(NotALabel):
             lab31.decode_both(((5, -1), bad))
-    with pytest.raises(InvalidInput):
-        get_lattice("Z2").qshell((1.5, 0))
     with pytest.raises(InvalidInput, match=r"\(4\.6, 0\) is not"):
         sub.coset_reduce((4.6, 0))
     assert sub.coset_reduce((np.int64(4), 0)) == sub.coset_reduce((4, 0)) == ((5, -1), (-1, 1))
@@ -206,7 +202,7 @@ def test_voronoi_a2_31(lab31):
     reps = lab31.sub.voronoi_reps
     assert len(reps) == 31
     lat = lab31.lattice
-    shells = sorted(lat.qshell(r) for r in reps)
+    shells = sorted(lat.norms(np.array(reps)).tolist())
     assert shells == [0] + [1] * 6 + [3] * 6 + [4] * 6 + [7] * 12
 
 
@@ -473,27 +469,45 @@ def test_scalar_nearest2_matches_bulk_in_box_a2(n):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_integer_helpers_match_object_reference(data):
-    """_imatvec, qshell and inner2 against object-dtype numpy, on
-    Python ints up to 2^100 and on int64 inputs near 2^62, which must not wrap
-    (``int_point`` turns them into Python ints, as every public entry does)."""
+    """_imatvec on Python ints up to 2^100, and the Gram form ``inner2`` and
+    ``norms`` against object-dtype products: on int64 rows with entries at
+    +-2^31, +-2^62, +-(2^63 - 1) and -2^63, on Python-int rows up to 2^100 with 2^70,
+    and on int64 rows whose bound max|a| max|b| sum|gram2| sits just at 2^63
+    and just below it, where the form stays in int64 and must not wrap."""
     lat = get_lattice(data.draw(st.sampled_from(["Z1", "Z2", "Z4", "Z8", "A2"])))
     dim = lat.dim
     big = st.integers(-(2**100), 2**100)
-    near62 = st.integers(2**62 - 2**20, 2**63 - 1) | st.integers(-(2**63), -(2**62) + 2**20)
+    edges = [0, 1, -1, 2**31, -(2**31), 2**62, -(2**62), 2**63 - 1, -(2**63 - 1), -(2**63)]
+    int64s = st.sampled_from(edges) | st.integers(-(2**63), 2**63 - 1)
+    wide = int64s | st.sampled_from([2**70, -(2**70)]) | big
 
     def vec(elements):
         return data.draw(st.lists(elements, min_size=dim, max_size=dim))
 
-    m = tuple(tuple(vec(big)) for _ in range(dim))
-    m_ref = np.array(m, dtype=object)
+    m, v = tuple(tuple(vec(big)) for _ in range(dim)), vec(big)
+    m_ref, v_ref = np.array(m, dtype=object), np.array(v, dtype=object)
+    assert _imatvec(m, int_point(v, dim)) == tuple((m_ref @ v_ref).tolist())
+
+    n = data.draw(st.integers(1, 4))
+
+    def rows(elements, dtype=np.int64):
+        return np.array([vec(elements) for _ in range(n)], dtype=dtype)
+
+    # |a| = 2^31 and |b| = y or y - 1, the least y whose bound reaches 2^63.
+    s = int(np.abs(lat.gram2).sum())
+    y = -(-(2**63) // (s * 2**31))
+    sign = st.sampled_from([1, -1])
+    cases = [(2**31 * rows(sign), y * rows(sign)), (2**31 * rows(sign), (y - 1) * rows(sign))]
+    cases += [(rows(int64s), rows(int64s)), (rows(wide, object), rows(wide, object))]
+    cases += [(rows(int64s), rows(wide, object))]
     gram = lat.gram2.astype(object)
-    for u, v in [(vec(big), vec(big)), (np.array(vec(near62)), np.array(vec(near62)))]:
-        u_ref, v_ref = np.array(u, dtype=object), np.array(v, dtype=object)
-        if isinstance(u, np.ndarray):  # int64 entries become Python ints
-            u_ref, v_ref = u.astype(object), v.astype(object)
-        assert _imatvec(m, int_point(v, dim)) == tuple((m_ref @ v_ref).tolist())
-        assert lat.inner2(u, v) == u_ref @ gram @ v_ref
-        assert lat.qshell(u) == u_ref @ gram @ u_ref // 2
+    for a, b in cases:
+        a_ref, b_ref = a.astype(object), b.astype(object)
+        got = lat.inner2(a, b)
+        assert got.tolist() == [u @ gram @ w for u, w in zip(a_ref, b_ref)]
+        assert lat.norms(a).tolist() == [u @ gram @ u // 2 for u in a_ref]
+        if a.dtype == b.dtype == np.int64 and abs(a_ref).max() * abs(b_ref).max() * s < 2**63:
+            assert got.dtype == np.int64
 
 
 def test_covering_radius_scaling():
@@ -506,3 +520,19 @@ def test_covering_radius_scaling():
 def test_design_sublattice_without_index_or_params_is_invalid_input():
     with pytest.raises(InvalidInput, match="either index or params"):
         design_sublattice("A2")
+
+
+def test_an_index_or_params_that_are_not_integers_are_invalid_input():
+    # Each used to end in a ValueError or a TypeError.
+    with pytest.raises(InvalidInput, match=re.escape("params ('a', 1)")):
+        design_sublattice("A2", params=("a", 1))
+    with pytest.raises(InvalidInput, match=re.escape("params (5.0, -1)")):
+        design_sublattice("A2", params=(5.0, -1))  # was truncated to (5, -1)
+    with pytest.raises(InvalidInput, match=re.escape("index '7'")):
+        design_sublattice("A2", index="7")
+    with pytest.raises(InvalidInput, match=re.escape("index '31'")):
+        design_sublattice("A2", index="31", params=(5, -1))
+    with pytest.raises(InvalidInput, match=re.escape("index 7.5")):
+        find_params(get_lattice("A2"), 7.5)
+    with pytest.raises(InvalidInput, match=re.escape("index '7'")):
+        sublattice_indices(get_lattice("A2"), "7")
